@@ -8,6 +8,7 @@ package es2
 import (
 	"bytes"
 	"encoding/json"
+	"sort"
 	"testing"
 	"time"
 )
@@ -117,36 +118,46 @@ func TestEngineReportContents(t *testing.T) {
 	}
 }
 
-// TestEngineStatsOverhead checks that instrumentation stays cheap. The
-// acceptance bar is <2% mean overhead (measured and recorded in
-// EXPERIMENTS.md); the test bound is deliberately loose so scheduler
-// noise on shared CI runners cannot flake it.
+// TestEngineStatsOverhead checks that instrumentation at the default
+// sampling interval stays cheap. Stats-off and stats-on runs are
+// interleaved in pairs, alternating which goes first, and the test
+// judges the median of the per-pair on/off ratios, so host speed drift
+// and one-off stalls cancel instead of deciding the result. Many short
+// pairs beat a few long ones: each pair's two runs are close enough in
+// time to see the same host speed. The measured overhead is recorded in
+// EXPERIMENTS.md; the 15% bound leaves room for noise on shared CI
+// runners.
 func TestEngineStatsOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overhead measurement skipped in -short")
 	}
 	spec := short(Full(4), WorkloadSpec{Kind: NetperfTCPSend, MsgBytes: 1024})
-	spec.Duration = 800 * time.Millisecond
+	spec.Warmup, spec.Duration = 20*time.Millisecond, 80*time.Millisecond // ~50ms wall
 
 	run := func(stats bool) time.Duration {
 		s := spec
 		s.EngineStats = stats
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			t0 := time.Now()
-			mustRun(t, s)
-			if d := time.Since(t0); d < best {
-				best = d
-			}
-		}
-		return best
+		t0 := time.Now()
+		mustRun(t, s)
+		return time.Since(t0)
 	}
 	run(false) // warm caches before timing
-	off := run(false)
-	on := run(true)
-	overhead := float64(on-off) / float64(off)
-	t.Logf("engine stats overhead: off=%v on=%v (%+.2f%%)", off, on, 100*overhead)
+	const pairs = 61
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		var off, on time.Duration
+		if i%2 == 0 {
+			off, on = run(false), run(true)
+		} else {
+			on, off = run(true), run(false)
+		}
+		ratios[i] = float64(on) / float64(off)
+	}
+	sort.Float64s(ratios)
+	overhead := ratios[pairs/2] - 1
+	t.Logf("engine stats overhead: median on/off %+.2f%% over %d pairs (quartiles %.3f, %.3f)",
+		100*overhead, pairs, ratios[pairs/4], ratios[3*pairs/4])
 	if overhead > 0.15 {
-		t.Fatalf("instrumentation overhead %.1f%% exceeds the 15%% test bound (target <2%%)", 100*overhead)
+		t.Fatalf("instrumentation overhead %.1f%% exceeds the 15%% test bound", 100*overhead)
 	}
 }

@@ -350,7 +350,7 @@ type ScenarioSpec struct {
 	// the event loop, heap push/pop counts and depth, the
 	// events-per-sim-tick distribution, and sampled per-subsystem
 	// wall/allocation attribution charged at event-callback boundaries
-	// (1-in-EngineStatsSampleN sampling keeps overhead under 2%).
+	// (1-in-EngineStatsSampleN sampling keeps overhead to a few percent).
 	// Result.EngineReport carries the report. Stats never perturb the
 	// simulation: simulated results are byte-identical with and without
 	// them, only real-world timings are read. Wall-clock values are
@@ -358,7 +358,7 @@ type ScenarioSpec struct {
 	// deterministic JSON; es2bench -perf publishes it separately.
 	EngineStats bool
 	// EngineStatsSampleN is the 1-in-N event-callback sampling interval
-	// (default 128).
+	// (default 1024).
 	EngineStatsSampleN int
 
 	// testCosts, when non-nil, overrides the hypervisor cost model.

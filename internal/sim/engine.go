@@ -1,72 +1,123 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"es2/internal/enginestats"
 )
 
-// Handle identifies a scheduled event and allows it to be cancelled or
-// rescheduled. Handles are returned by Engine.At and Engine.After.
+// Handle identifies a scheduled event so that it can be cancelled.
+// Handles are small values returned by Engine.At and Engine.After; the
+// zero Handle names no event. A handle names its event by slot and
+// sequence number, so once the event has fired or been cancelled and
+// its slot reused, the old handle can no longer reach the new event.
 type Handle struct {
-	t        Time
-	seq      uint64
-	index    int // position in the heap, -1 when not queued
-	fn       func()
-	canceled bool
+	e    *Engine
+	slot int32
+	seq  uint64
+}
+
+// Cancel prevents the event from firing. Cancelling the zero Handle or
+// an event that has already fired or been cancelled is a no-op. Cancel
+// must be called from the engine goroutine (i.e. from inside event
+// callbacks), like every other engine method.
+func (h Handle) Cancel() {
+	if h.Active() {
+		h.e.release(h.slot)
+	}
+}
+
+// Active reports whether the event is still pending.
+func (h Handle) Active() bool { return h.e != nil && h.e.slots[h.slot].seq == h.seq }
+
+// freeSeq marks an unoccupied slot; no event is ever given this
+// sequence number.
+const freeSeq = ^uint64(0)
+
+// eventSlot holds what an event needs beyond its queue position. Slots
+// are recycled through the engine's free list, so scheduling allocates
+// nothing once the slab has grown to the run's peak of live events.
+type eventSlot struct {
+	fn  func()
+	seq uint64 // the occupying event's sequence number, freeSeq when free
 	// perfLabel is the enginestats subsystem label of a sampled event
 	// (0 for the unsampled majority and when stats are off).
 	perfLabel int32
 }
 
-// Cancel prevents the event from firing. Cancelling an event that has
-// already fired or been cancelled is a no-op. Cancel must be called from
-// the engine goroutine (i.e. from inside event callbacks), like every
-// other engine method.
-func (h *Handle) Cancel() {
-	if h == nil {
-		return
+// entry is one queued event: its firing instant, its sequence number
+// (the tie-break, and the check that its slot still belongs to it) and
+// its slot. Entries hold no pointers, so moving them through the heap
+// needs no GC write barriers.
+type entry struct {
+	t    Time
+	seq  uint64
+	slot int32
+}
+
+func (a entry) before(b entry) bool {
+	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
+}
+
+// live reports whether x's slot still belongs to it. A cancelled
+// event's entry stays queued until it reaches the top of the heap,
+// where it is dropped.
+func (e *Engine) live(x entry) bool { return e.slots[x.slot].seq == x.seq }
+
+// push inserts x into the 4-ary min-heap ordered by (t, seq).
+func (e *Engine) push(x entry) {
+	q := append(e.queue, x)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	h.canceled = true
-	h.fn = nil // release the closure promptly
+	q[i] = x
+	e.queue = q
 }
 
-// Active reports whether the event is still pending.
-func (h *Handle) Active() bool { return h != nil && !h.canceled && h.index >= 0 }
-
-// When returns the instant the event is scheduled for. The value is
-// meaningless once the event has fired or been cancelled.
-func (h *Handle) When() Time { return h.t }
-
-// eventQueue is a binary min-heap of *Handle ordered by (time, seq).
-type eventQueue []*Handle
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].t != q[j].t {
-		return q[i].t < q[j].t
+// pop removes and returns the heap's minimum entry, live or not, and
+// counts the pop.
+func (e *Engine) pop() entry {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	x := q[n]
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 4*i + 1
+			if c >= n {
+				break
+			}
+			m := c
+			for j := c + 1; j < c+4 && j < n; j++ {
+				if q[j].before(q[m]) {
+					m = j
+				}
+			}
+			if !q[m].before(x) {
+				break
+			}
+			q[i] = q[m]
+			i = m
+		}
+		q[i] = x
 	}
-	return q[i].seq < q[j].seq
+	e.queue = q
+	e.heapPops++
+	return top
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	h := x.(*Handle)
-	h.index = len(*q)
-	*q = append(*q, h)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	h := old[n-1]
-	old[n-1] = nil
-	h.index = -1
-	*q = old[:n-1]
-	return h
+
+// release frees an event's slot for reuse.
+func (e *Engine) release(slot int32) {
+	e.slots[slot] = eventSlot{seq: freeSeq}
+	e.free = append(e.free, slot)
 }
 
 // Engine is a discrete-event simulation executive. The zero value is not
@@ -74,7 +125,9 @@ func (q *eventQueue) Pop() any {
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   eventQueue
+	queue   []entry     // 4-ary min-heap by (t, seq)
+	slots   []eventSlot // indexed by entry.slot
+	free    []int32     // unoccupied slots
 	rng     *Rand
 	stopped bool
 
@@ -139,16 +192,26 @@ func (e *Engine) Stats() *enginestats.Collector { return e.stats }
 
 // At schedules fn to run at instant t. Scheduling in the past panics:
 // it always indicates a model bug, and silently clamping would hide it.
-func (e *Engine) At(t Time, fn func()) *Handle {
+func (e *Engine) At(t Time, fn func()) Handle {
 	if fn == nil {
 		panic("sim: At called with nil fn")
 	}
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past: now=%v t=%v", e.now, t))
 	}
-	h := &Handle{t: t, seq: e.seq, fn: fn}
+	var slot int32
+	if n := len(e.free); n > 0 {
+		slot = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		slot = int32(len(e.slots))
+		e.slots = append(e.slots, eventSlot{})
+	}
+	h := Handle{e: e, slot: slot, seq: e.seq}
 	e.seq++
-	heap.Push(&e.queue, h)
+	s := &e.slots[slot]
+	s.fn, s.seq = fn, h.seq
+	e.push(entry{t: t, seq: h.seq, slot: slot})
 	e.heapPushes++
 	n := len(e.queue)
 	if n > e.maxDepth {
@@ -156,13 +219,13 @@ func (e *Engine) At(t Time, fn func()) *Handle {
 	}
 	e.depthSum += uint64(n)
 	if e.stats != nil {
-		h.perfLabel = e.stats.SampleSite()
+		s.perfLabel = e.stats.SampleSite()
 	}
 	return h
 }
 
 // After schedules fn to run d nanoseconds from now. Negative d panics.
-func (e *Engine) After(d Time, fn func()) *Handle {
+func (e *Engine) After(d Time, fn func()) Handle {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
@@ -176,22 +239,21 @@ func (e *Engine) Step() bool {
 		if e.stopped || len(e.queue) == 0 {
 			return false
 		}
-		h := heap.Pop(&e.queue).(*Handle)
-		e.heapPops++
-		if h.canceled {
+		x := e.pop()
+		if !e.live(x) {
 			continue
 		}
-		if h.t < e.now {
+		if x.t < e.now {
 			panic("sim: time went backwards")
 		}
-		e.now = h.t
-		fn := h.fn
-		h.fn = nil
+		e.now = x.t
+		s := e.slots[x.slot]
+		e.release(x.slot)
 		e.fired++
 		if e.stats != nil {
-			e.stats.RunEvent(int64(h.t), h.perfLabel, fn)
+			e.stats.RunEvent(int64(x.t), s.perfLabel, s.fn)
 		} else {
-			fn()
+			s.fn()
 		}
 		return true
 	}
@@ -205,9 +267,8 @@ func (e *Engine) Run(until Time) {
 		// Peek without popping so an over-horizon event survives for a
 		// later Run call.
 		next := e.queue[0]
-		if next.canceled {
-			heap.Pop(&e.queue)
-			e.heapPops++
+		if !e.live(next) {
+			e.pop()
 			continue
 		}
 		if next.t > until {

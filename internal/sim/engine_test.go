@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -338,7 +340,7 @@ func TestEngineHeapStats(t *testing.T) {
 		t.Fatalf("after drain: %+v", hs)
 	}
 	if hs.Fixes != 0 {
-		t.Fatalf("binary-heap engine reported fixes: %+v", hs)
+		t.Fatalf("engine reported in-place fixes: %+v", hs)
 	}
 }
 
@@ -385,5 +387,196 @@ func TestEngineSetStats(t *testing.T) {
 	e.SetStats(nil)
 	if e.Stats() != nil {
 		t.Fatalf("SetStats(nil) did not detach")
+	}
+}
+
+func TestEngineZeroHandle(t *testing.T) {
+	var h Handle
+	h.Cancel()
+	if h.Active() {
+		t.Fatal("zero Handle reports an active event")
+	}
+}
+
+// A handle whose event has fired or been cancelled must not reach a
+// later event that reuses its slot.
+func TestEngineStaleHandleLeavesReusedSlotAlone(t *testing.T) {
+	for _, how := range []string{"fired", "cancelled"} {
+		e := NewEngine(1)
+		old := e.At(10, func() {})
+		if how == "fired" {
+			e.RunAll()
+		} else {
+			old.Cancel()
+		}
+		fired := false
+		fresh := e.At(20, func() { fired = true })
+		if fresh.slot != old.slot {
+			t.Fatalf("%s: new event took slot %d, want the freed slot %d", how, fresh.slot, old.slot)
+		}
+		old.Cancel()
+		if old.Active() {
+			t.Fatalf("%s: stale handle reports active", how)
+		}
+		if !fresh.Active() {
+			t.Fatalf("%s: stale Cancel deactivated the event reusing its slot", how)
+		}
+		e.RunAll()
+		if !fired {
+			t.Fatalf("%s: stale Cancel cancelled the event reusing its slot", how)
+		}
+	}
+}
+
+// TestEngineMatchesReferenceModel drives the engine and a plain list of
+// pending events with the same random mix of At, Cancel, Step and
+// Run(horizon) — including events scheduled at now and callbacks that
+// cancel themselves, cancel others or schedule more — and checks that
+// the engine always fires the earliest pending event by (t, seq).
+func TestEngineMatchesReferenceModel(t *testing.T) {
+	type event struct {
+		t       Time
+		seq     uint64
+		h       Handle
+		pending bool
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine(1)
+		var evs []*event
+		var nextSeq uint64
+		earliest := func() *event {
+			var best *event
+			for _, x := range evs {
+				if x.pending && (best == nil || x.t < best.t || x.t == best.t && x.seq < best.seq) {
+					best = x
+				}
+			}
+			return best
+		}
+		cancelAny := func() {
+			if len(evs) > 0 {
+				x := evs[rng.Intn(len(evs))]
+				x.h.Cancel()
+				x.pending = false
+			}
+		}
+		var schedule func(at Time)
+		schedule = func(at Time) {
+			x := &event{t: at, seq: nextSeq, pending: true}
+			nextSeq++
+			evs = append(evs, x)
+			x.h = e.At(at, func() {
+				if want := earliest(); want != x {
+					t.Fatalf("seed %d: fired (t=%d seq=%d), model expects %+v", seed, x.t, x.seq, want)
+				}
+				if e.Now() != x.t {
+					t.Fatalf("seed %d: clock %d at event for %d", seed, e.Now(), x.t)
+				}
+				x.pending = false
+				if x.h.Active() {
+					t.Fatalf("seed %d: handle active inside its own callback", seed)
+				}
+				switch rng.Intn(6) {
+				case 0:
+					x.h.Cancel() // self-cancel: must be a no-op
+				case 1:
+					schedule(e.Now())
+				case 2:
+					cancelAny()
+				case 3:
+					schedule(e.Now() + Time(rng.Intn(20)))
+				}
+			})
+		}
+		for op := 0; op < 3000; op++ {
+			switch r := rng.Intn(10); {
+			case r < 4:
+				schedule(e.Now() + Time(rng.Intn(50)))
+			case r < 6:
+				cancelAny()
+			case r < 8:
+				want := earliest() != nil
+				if got := e.Step(); got != want {
+					t.Fatalf("seed %d op %d: Step = %t, model has pending = %t", seed, op, got, want)
+				}
+			default:
+				until := e.Now() + Time(rng.Intn(40))
+				e.Run(until)
+				if e.Now() != until {
+					t.Fatalf("seed %d op %d: Run(%d) left clock at %d", seed, op, until, e.Now())
+				}
+				if x := earliest(); x != nil && x.t <= until {
+					t.Fatalf("seed %d op %d: Run(%d) left event at %d pending", seed, op, until, x.t)
+				}
+			}
+			for _, x := range evs {
+				if x.h.Active() != x.pending {
+					t.Fatalf("seed %d op %d: Active = %t, model says pending = %t", seed, op, x.h.Active(), x.pending)
+				}
+			}
+		}
+		e.RunAll()
+		if x := earliest(); x != nil {
+			t.Fatalf("seed %d: RunAll left %+v pending", seed, x)
+		}
+	}
+}
+
+// rescheduling fills an engine with depth events, each of which
+// reschedules itself an exponential gap later when it fires, so the
+// queue depth stays at depth.
+func rescheduling(depth int) *Engine {
+	e := NewEngine(1)
+	gap := Time(depth) * Microsecond
+	var fire func()
+	fire = func() { e.After(e.Rand().ExpDuration(gap), fire) }
+	for i := 0; i < depth; i++ {
+		e.At(e.Rand().Duration(gap), fire)
+	}
+	return e
+}
+
+func TestEngineAtDoesNotAllocate(t *testing.T) {
+	e := rescheduling(1000)
+	for i := 0; i < 10000; i++ { // warm the slab and the heap
+		e.Step()
+	}
+	if n := testing.AllocsPerRun(1000, func() { e.Step() }); n != 0 {
+		t.Fatalf("At+Step allocates %.1f objects per event, want 0", n)
+	}
+}
+
+var benchDepths = []int{1000, 20000}
+
+// BenchmarkAtStep times one Step plus the At its event makes.
+func BenchmarkAtStep(b *testing.B) {
+	for _, depth := range benchDepths {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			e := rescheduling(depth)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
+	}
+}
+
+// BenchmarkCancel times a timer armed and cancelled before it fires,
+// beside the live At+Step that keeps the queue at depth.
+func BenchmarkCancel(b *testing.B) {
+	for _, depth := range benchDepths {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			e := rescheduling(depth)
+			gap := Time(depth) * Microsecond
+			noop := func() {}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.After(e.Rand().ExpDuration(gap), noop).Cancel()
+				e.Step()
+			}
+		})
 	}
 }

@@ -55,14 +55,64 @@ func (d Desc) CausalChain() *causal.Chain {
 	return nil
 }
 
+// ring is a FIFO of descriptors in a circular buffer. It starts empty
+// and doubles only when full, up to its queue's size, so a queue that
+// never fills never pays for a full-size ring.
+type ring struct {
+	buf  []Desc
+	head int // index of the oldest descriptor
+	n    int // descriptors held
+}
+
+// minRing is the capacity a ring takes on its first push.
+const minRing = 8
+
+func (r *ring) push(d Desc, limit int) {
+	if r.n == len(r.buf) {
+		r.grow(limit)
+	}
+	i := r.head + r.n
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = d
+	r.n++
+}
+
+// grow doubles the buffer (capped at limit), unwrapping the contents
+// to the front of the new one.
+func (r *ring) grow(limit int) {
+	c := min(max(2*len(r.buf), minRing), limit)
+	if c <= len(r.buf) {
+		panic("virtio: ring overflow")
+	}
+	buf := make([]Desc, c)
+	k := copy(buf, r.buf[r.head:])
+	copy(buf[k:], r.buf[:r.head])
+	r.buf, r.head = buf, 0
+}
+
+// pop removes the oldest descriptor; the ring must not be empty.
+func (r *ring) pop() Desc {
+	d := r.buf[r.head]
+	r.buf[r.head] = Desc{} // drop the payload reference
+	r.head++
+	if r.head == len(r.buf) {
+		r.head = 0
+	}
+	r.n--
+	return d
+}
+
 // Virtqueue is one split virtqueue.
 type Virtqueue struct {
 	name string
 	size int
 
-	avail    []Desc // posted by the driver, not yet consumed by the device
-	used     []Desc // completed by the device, not yet reclaimed by the driver
+	avail    ring   // posted by the driver, not yet consumed by the device
+	used     ring   // completed by the device, not yet reclaimed by the driver
 	inflight int    // popped by the device, not yet pushed used
+	batch    []Desc // CollectUsed's result, reused by every call
 
 	noNotify    bool // device->driver: suppress guest kicks
 	noInterrupt bool // driver->device: suppress device interrupts
@@ -132,7 +182,7 @@ func (q *Virtqueue) OnInterrupt(fn func()) { q.interrupt = fn }
 
 // outstanding is the number of descriptors the driver cannot reuse yet:
 // still available, held by the device, or completed but unreclaimed.
-func (q *Virtqueue) outstanding() int { return len(q.avail) + q.inflight + len(q.used) }
+func (q *Virtqueue) outstanding() int { return q.avail.n + q.inflight + q.used.n }
 
 // Full reports whether the ring has no free descriptor.
 func (q *Virtqueue) Full() bool { return q.outstanding() >= q.size }
@@ -141,11 +191,11 @@ func (q *Virtqueue) Full() bool { return q.outstanding() >= q.size }
 func (q *Virtqueue) Free() int { return q.size - q.outstanding() }
 
 // AvailLen returns the number of descriptors awaiting the device.
-func (q *Virtqueue) AvailLen() int { return len(q.avail) }
+func (q *Virtqueue) AvailLen() int { return q.avail.n }
 
 // UsedLen returns the number of completed descriptors awaiting the
 // driver.
-func (q *Virtqueue) UsedLen() int { return len(q.used) }
+func (q *Virtqueue) UsedLen() int { return q.used.n }
 
 // --- driver (guest front-end) side ---
 
@@ -158,7 +208,7 @@ func (q *Virtqueue) Add(d Desc) bool {
 	if q.resLat != nil {
 		d.resT = q.resNow()
 	}
-	q.avail = append(q.avail, d)
+	q.avail.push(d, q.size)
 	q.Added++
 	return true
 }
@@ -198,20 +248,19 @@ func (q *Virtqueue) ForceKick() {
 func (q *Virtqueue) KickSuppressed() bool { return q.noNotify }
 
 // CollectUsed reclaims up to max completed descriptors (max <= 0 means
-// all).
+// all), in completion order. The returned slice is the queue's own
+// batch buffer, reused so that reclaiming allocates nothing: it is
+// valid only until the next CollectUsed on this queue.
 func (q *Virtqueue) CollectUsed(max int) []Desc {
-	n := len(q.used)
+	n := q.used.n
 	if max > 0 && max < n {
 		n = max
 	}
-	out := make([]Desc, n)
-	copy(out, q.used[:n])
-	rest := copy(q.used, q.used[n:])
-	for i := rest; i < len(q.used); i++ {
-		q.used[i] = Desc{}
+	q.batch = q.batch[:0]
+	for ; n > 0; n-- {
+		q.batch = append(q.batch, q.used.pop())
 	}
-	q.used = q.used[:rest]
-	return out
+	return q.batch
 }
 
 // SetNoInterrupt lets the driver suppress (true) or re-enable (false)
@@ -225,13 +274,10 @@ func (q *Virtqueue) InterruptSuppressed() bool { return q.noInterrupt }
 
 // Pop consumes the next available descriptor.
 func (q *Virtqueue) Pop() (Desc, bool) {
-	if len(q.avail) == 0 {
+	if q.avail.n == 0 {
 		return Desc{}, false
 	}
-	d := q.avail[0]
-	rest := copy(q.avail, q.avail[1:])
-	q.avail[rest] = Desc{}
-	q.avail = q.avail[:rest]
+	d := q.avail.pop()
 	q.inflight++
 	q.Popped++
 	if q.resLat != nil {
@@ -246,7 +292,7 @@ func (q *Virtqueue) PushUsed(d Desc) {
 		panic("virtio: PushUsed without matching Pop")
 	}
 	q.inflight--
-	q.used = append(q.used, d)
+	q.used.push(d, q.size)
 }
 
 // Signal raises the queue's interrupt toward the guest. It reports
@@ -276,8 +322,8 @@ func (q *Virtqueue) CheckInvariants() error {
 	if out := q.outstanding(); out > q.size {
 		return fmt.Errorf("vq %s: %d descriptors outstanding exceeds ring size %d", q.name, out, q.size)
 	}
-	if q.Added-q.Popped != uint64(len(q.avail)) {
-		return fmt.Errorf("vq %s: Added-Popped=%d but avail holds %d", q.name, q.Added-q.Popped, len(q.avail))
+	if q.Added-q.Popped != uint64(q.avail.n) {
+		return fmt.Errorf("vq %s: Added-Popped=%d but avail holds %d", q.name, q.Added-q.Popped, q.avail.n)
 	}
 	return nil
 }
@@ -301,5 +347,5 @@ func (q *Virtqueue) SetNoNotify(no bool) { q.noNotify = no }
 
 // String summarizes the queue state.
 func (q *Virtqueue) String() string {
-	return fmt.Sprintf("vq(%s: avail=%d used=%d free=%d)", q.name, len(q.avail), len(q.used), q.Free())
+	return fmt.Sprintf("vq(%s: avail=%d used=%d free=%d)", q.name, q.avail.n, q.used.n, q.Free())
 }

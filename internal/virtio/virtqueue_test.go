@@ -3,6 +3,9 @@ package virtio
 import (
 	"testing"
 	"testing/quick"
+
+	"es2/internal/metrics"
+	"es2/internal/sim"
 )
 
 func TestAddPopRoundTrip(t *testing.T) {
@@ -216,5 +219,175 @@ func TestVirtqueueConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// cycle moves n descriptors through the whole ring round trip, so the
+// avail and used rings' heads advance by n.
+func cycle(q *Virtqueue, n int) {
+	for i := 0; i < n; i++ {
+		q.Add(Desc{})
+		d, _ := q.Pop()
+		q.PushUsed(d)
+		q.CollectUsed(0)
+	}
+}
+
+func TestFIFOAcrossWrap(t *testing.T) {
+	q := New("tx", 8)
+	next, want := 0, 0
+	for round := 0; round < 50; round++ {
+		for i := 0; i < 5; i++ {
+			if !q.Add(Desc{Len: next}) {
+				t.Fatalf("round %d: Add failed with %d free", round, q.Free())
+			}
+			next++
+		}
+		for i := 0; i < 5; i++ {
+			d, ok := q.Pop()
+			if !ok || d.Len != want {
+				t.Fatalf("round %d: Pop = %+v,%t, want Len %d", round, d, ok, want)
+			}
+			want++
+			q.PushUsed(d)
+		}
+		q.CollectUsed(0)
+	}
+	if len(q.avail.buf) != 8 {
+		t.Fatalf("avail ring grew to %d under a bound of 8", len(q.avail.buf))
+	}
+}
+
+func TestFIFOAcrossResizeWhileWrapped(t *testing.T) {
+	q := New("tx", 64)
+	cycle(q, minRing-2) // avail head now near the end of a minRing buffer
+	next := 0
+	for i := 0; i < minRing; i++ {
+		q.Add(Desc{Len: next})
+		next++
+	}
+	if q.avail.head == 0 || len(q.avail.buf) != minRing {
+		t.Fatalf("setup: want a full, wrapped %d-entry ring, got head %d of %d", minRing, q.avail.head, len(q.avail.buf))
+	}
+	for i := 0; i < 3*minRing; i++ { // grows twice, first while wrapped
+		q.Add(Desc{Len: next})
+		next++
+	}
+	if len(q.avail.buf) != 4*minRing {
+		t.Fatalf("ring capacity %d, want %d", len(q.avail.buf), 4*minRing)
+	}
+	for want := 0; want < next; want++ {
+		d, ok := q.Pop()
+		if !ok || d.Len != want {
+			t.Fatalf("Pop = %+v,%t, want Len %d", d, ok, want)
+		}
+	}
+}
+
+func TestFullAndFreeAtSizeBound(t *testing.T) {
+	// A size that is not a power of two caps the doubling short.
+	q := New("tx", 5)
+	cycle(q, 3)
+	for i := 0; i < 5; i++ {
+		if q.Free() != 5-i || q.Full() {
+			t.Fatalf("after %d adds: Free=%d Full=%t", i, q.Free(), q.Full())
+		}
+		if !q.Add(Desc{Len: i}) {
+			t.Fatalf("Add %d failed below the bound", i)
+		}
+	}
+	if !q.Full() || q.Free() != 0 || q.Add(Desc{}) {
+		t.Fatalf("at the bound: Full=%t Free=%d", q.Full(), q.Free())
+	}
+	if len(q.avail.buf) != 5 {
+		t.Fatalf("avail ring capacity %d, want the size bound 5", len(q.avail.buf))
+	}
+	d, _ := q.Pop()
+	q.PushUsed(d)
+	if !q.Full() {
+		t.Fatal("completed but unreclaimed descriptor must keep the ring full")
+	}
+	q.CollectUsed(0)
+	if q.Full() || q.Free() != 1 || !q.Add(Desc{Len: 5}) {
+		t.Fatalf("after reclaim: Full=%t Free=%d", q.Full(), q.Free())
+	}
+	for want := 1; want <= 5; want++ {
+		if d, ok := q.Pop(); !ok || d.Len != want {
+			t.Fatalf("Pop = %+v,%t, want Len %d", d, ok, want)
+		}
+	}
+}
+
+func TestCollectUsedAcrossWrap(t *testing.T) {
+	q := New("rx", 8)
+	cycle(q, 6)
+	for i := 0; i < 7; i++ {
+		q.Add(Desc{Len: i})
+		d, _ := q.Pop()
+		q.PushUsed(d)
+	}
+	if q.used.head+q.used.n <= len(q.used.buf) {
+		t.Fatalf("setup: used ring not wrapped (head %d, %d held, cap %d)", q.used.head, q.used.n, len(q.used.buf))
+	}
+	got := append([]Desc(nil), q.CollectUsed(4)...)
+	got = append(got, q.CollectUsed(0)...)
+	if len(got) != 7 {
+		t.Fatalf("collected %d descriptors, want 7", len(got))
+	}
+	for i, d := range got {
+		if d.Len != i {
+			t.Fatalf("collected[%d].Len = %d, want %d", i, d.Len, i)
+		}
+	}
+	if q.UsedLen() != 0 || q.Free() != 8 {
+		t.Fatalf("after collect: used=%d free=%d", q.UsedLen(), q.Free())
+	}
+}
+
+func TestInvariantsAndResidencyOnWrappedRing(t *testing.T) {
+	q := New("rx", 8)
+	h := metrics.NewLogHistogram()
+	var now sim.Time
+	q.SetResidencyProbe(h, func() sim.Time { return now })
+	cycle(q, 5)
+	for i := 0; i < 6; i++ {
+		now = sim.Time(i)
+		q.Add(Desc{})
+	}
+	if q.avail.head+q.avail.n <= len(q.avail.buf) {
+		t.Fatal("setup: avail ring not wrapped")
+	}
+	if err := q.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	now = 100
+	for i := 0; i < 6; i++ {
+		d, _ := q.Pop()
+		q.PushUsed(d)
+		if err := q.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Five cycled descriptors with zero residency, then six published
+	// at 0..5 and popped at 100.
+	if h.Count() != 11 || h.Sum() != 6*100-15 || h.Max() != 100 {
+		t.Fatalf("residency count=%d sum=%d max=%d", h.Count(), h.Sum(), h.Max())
+	}
+}
+
+func TestRoundTripDoesNotAllocate(t *testing.T) {
+	q := New("rx", 256)
+	for q.Add(Desc{Len: 1500}) {
+	}
+	roundTrip := func() {
+		d, _ := q.Pop()
+		q.PushUsed(d)
+		for _, u := range q.CollectUsed(0) {
+			q.Add(u)
+		}
+	}
+	roundTrip() // size the batch buffer
+	if n := testing.AllocsPerRun(1000, roundTrip); n != 0 {
+		t.Fatalf("Pop+PushUsed+CollectUsed+Add allocates %.1f objects, want 0", n)
 	}
 }

@@ -99,8 +99,6 @@ type VCPU struct {
 	profGuest *profile.Node
 	profPrio  [numPrios]*profile.Node
 	profExit  [NumExitReasons]*profile.Node
-
-	otherExitEvt *sim.Handle
 }
 
 // newVCPU wires a vCPU to its host thread on the given core.
@@ -445,7 +443,7 @@ func (v *VCPU) startBackgroundExits() {
 		if d < sim.Microsecond {
 			d = sim.Microsecond
 		}
-		v.otherExitEvt = k.Eng.After(d, func() {
+		k.Eng.After(d, func() {
 			if v.InGuestMode() {
 				v.BeginExit(ExitOther, nil)
 				v.poke()

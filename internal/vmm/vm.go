@@ -49,8 +49,6 @@ type VM struct {
 	// deliveries and EOIs.
 	DevIRQDelivered metrics.Counter
 	DevIRQCompleted metrics.Counter
-
-	timerEvts []*sim.Handle
 }
 
 // NewVM creates a VM with nvcpus vCPUs pinned to cores[i]. len(cores)
@@ -122,12 +120,9 @@ func (vm *VM) startTimer(v *VCPU, period, phase sim.Time) {
 	var tick func()
 	tick = func() {
 		vm.K.DeliverLocal(v, TimerVector)
-		vm.timerEvts[v.ID] = vm.K.Eng.After(period, tick)
+		vm.K.Eng.After(period, tick)
 	}
-	if len(vm.timerEvts) < len(vm.VCPUs) {
-		vm.timerEvts = make([]*sim.Handle, len(vm.VCPUs))
-	}
-	vm.timerEvts[v.ID] = vm.K.Eng.After(period+phase, tick)
+	vm.K.Eng.After(period+phase, tick)
 }
 
 func (vm *VM) recordExit(v *VCPU, r ExitReason) {
