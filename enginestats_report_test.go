@@ -118,6 +118,29 @@ func TestEngineReportContents(t *testing.T) {
 	}
 }
 
+// TestEngineQueueHoldsLiveEventsOnly runs a short table1 Baseline (one
+// UP VM sending TCP). Its scheduler arms a timeslice timer of several
+// milliseconds on every dispatch and cancels it microseconds later, so
+// a queue that kept cancelled timers until their time came would grow
+// to over a thousand entries here; cancelled events must leave at
+// Cancel, which keeps the queue at the few live events.
+func TestEngineQueueHoldsLiveEventsOnly(t *testing.T) {
+	spec := short(Baseline(), WorkloadSpec{Kind: NetperfTCPSend, MsgBytes: 1024})
+	spec.VMs, spec.VCPUs, spec.VMCores, spec.VhostCores = 1, 1, 1, 1
+	spec.Warmup, spec.Duration = 50*time.Millisecond, 100*time.Millisecond
+	spec.EngineStats = true
+	hs := mustRun(t, spec).EngineReport.Heap
+	if hs.Pushes != hs.Pops+uint64(hs.Pending) {
+		t.Fatalf("pushes %d != pops %d + pending %d", hs.Pushes, hs.Pops, hs.Pending)
+	}
+	// 10 live events at most were measured here; a lazy queue reaches
+	// about 1,700.
+	const maxDepth = 20
+	if hs.MaxDepth > maxDepth || hs.MeanDepth > maxDepth {
+		t.Fatalf("queue depth max %d / mean %.1f, want at most %d: %+v", hs.MaxDepth, hs.MeanDepth, maxDepth, hs)
+	}
+}
+
 // TestEngineStatsOverhead checks that instrumentation at the default
 // sampling interval stays cheap. Stats-off and stats-on runs are
 // interleaved in pairs, alternating which goes first, and the test

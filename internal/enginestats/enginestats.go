@@ -54,15 +54,18 @@ const heapAllocsMetric = "/gc/heap/allocs:bytes"
 // these counters unconditionally (they are plain increments); the
 // wall-clock Collector is what costs anything and stays opt-in.
 type HeapStats struct {
-	// Pushes, Pops and Fixes count heap operations. Fixes counts
-	// in-place reorderings (none in the current 4-ary-heap engine;
-	// the counter exists so calendar-queue/timer-wheel successors
-	// report through the same schema).
+	// Pushes, Pops and Fixes count heap operations. Pops counts every
+	// removal: events taken to fire and cancelled events removed at
+	// Cancel, so Pushes = Pops + Pending. Fixes counts in-place
+	// reorderings (none in the current 4-ary-heap engine; the counter
+	// exists so calendar-queue/timer-wheel successors report through
+	// the same schema).
 	Pushes uint64 `json:"pushes"`
 	Pops   uint64 `json:"pops"`
 	Fixes  uint64 `json:"fixes"`
 	// MaxDepth is the deepest the queue ever got; MeanDepth is the
-	// mean queue length observed at push time.
+	// mean queue length observed at push time. The queue holds only
+	// pending events, so depth counts live events.
 	MaxDepth  int     `json:"max_depth"`
 	MeanDepth float64 `json:"mean_depth"`
 	// Pending is the queue length at snapshot time.

@@ -17,12 +17,14 @@ type Handle struct {
 	seq  uint64
 }
 
-// Cancel prevents the event from firing. Cancelling the zero Handle or
-// an event that has already fired or been cancelled is a no-op. Cancel
-// must be called from the engine goroutine (i.e. from inside event
-// callbacks), like every other engine method.
+// Cancel prevents the event from firing and removes it from the queue
+// in O(log n). Cancelling the zero Handle or an event that has already
+// fired or been cancelled is a no-op. Cancel must be called from the
+// engine goroutine (i.e. from inside event callbacks), like every other
+// engine method.
 func (h Handle) Cancel() {
 	if h.Active() {
+		h.e.remove(int(h.e.slots[h.slot].pos))
 		h.e.release(h.slot)
 	}
 }
@@ -34,21 +36,22 @@ func (h Handle) Active() bool { return h.e != nil && h.e.slots[h.slot].seq == h.
 // sequence number.
 const freeSeq = ^uint64(0)
 
-// eventSlot holds what an event needs beyond its queue position. Slots
-// are recycled through the engine's free list, so scheduling allocates
-// nothing once the slab has grown to the run's peak of live events.
+// eventSlot holds what an event needs beyond its queue entry, and the
+// entry's position so that Cancel can remove it. Slots are recycled
+// through the engine's free list, so scheduling allocates nothing once
+// the slab has grown to the run's peak of pending events.
 type eventSlot struct {
 	fn  func()
 	seq uint64 // the occupying event's sequence number, freeSeq when free
+	pos int32  // the event's index in the queue while it is pending
 	// perfLabel is the enginestats subsystem label of a sampled event
 	// (0 for the unsampled majority and when stats are off).
 	perfLabel int32
 }
 
 // entry is one queued event: its firing instant, its sequence number
-// (the tie-break, and the check that its slot still belongs to it) and
-// its slot. Entries hold no pointers, so moving them through the heap
-// needs no GC write barriers.
+// (the tie-break) and its slot. Entries hold no pointers, so moving
+// them through the heap needs no GC write barriers.
 type entry struct {
 	t    Time
 	seq  uint64
@@ -59,59 +62,73 @@ func (a entry) before(b entry) bool {
 	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
 }
 
-// live reports whether x's slot still belongs to it. A cancelled
-// event's entry stays queued until it reaches the top of the heap,
-// where it is dropped.
-func (e *Engine) live(x entry) bool { return e.slots[x.slot].seq == x.seq }
-
 // push inserts x into the 4-ary min-heap ordered by (t, seq).
 func (e *Engine) push(x entry) {
-	q := append(e.queue, x)
-	i := len(q) - 1
+	e.queue = append(e.queue, x)
+	e.siftUp(len(e.queue)-1, x)
+}
+
+// siftUp places x at index i or above it, moving larger parents down.
+func (e *Engine) siftUp(i int, x entry) {
+	q := e.queue
 	for i > 0 {
 		p := (i - 1) / 4
 		if !x.before(q[p]) {
 			break
 		}
-		q[i] = q[p]
+		e.place(i, q[p])
 		i = p
 	}
-	q[i] = x
-	e.queue = q
+	e.place(i, x)
 }
 
-// pop removes and returns the heap's minimum entry, live or not, and
-// counts the pop.
-func (e *Engine) pop() entry {
+// siftDown places x at index i or below it, moving smaller children up.
+func (e *Engine) siftDown(i int, x entry) {
 	q := e.queue
-	top := q[0]
-	n := len(q) - 1
-	x := q[n]
-	q = q[:n]
-	if n > 0 {
-		i := 0
-		for {
-			c := 4*i + 1
-			if c >= n {
-				break
-			}
-			m := c
-			for j := c + 1; j < c+4 && j < n; j++ {
-				if q[j].before(q[m]) {
-					m = j
-				}
-			}
-			if !q[m].before(x) {
-				break
-			}
-			q[i] = q[m]
-			i = m
+	n := len(q)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
 		}
-		q[i] = x
+		m := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if q[j].before(q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(x) {
+			break
+		}
+		e.place(i, q[m])
+		i = m
 	}
-	e.queue = q
+	e.place(i, x)
+}
+
+// place stores x at queue index i and records i in x's slot.
+func (e *Engine) place(i int, x entry) {
+	e.queue[i] = x
+	e.slots[x.slot].pos = int32(i)
+}
+
+// remove deletes and returns the entry at queue index i, filling the
+// gap with the last entry, and counts the removal as a pop.
+func (e *Engine) remove(i int) entry {
+	q := e.queue
+	x := q[i]
+	n := len(q) - 1
+	last := q[n]
+	e.queue = q[:n]
+	if i < n {
+		if i > 0 && last.before(q[(i-1)/4]) {
+			e.siftUp(i, last)
+		} else {
+			e.siftDown(i, last)
+		}
+	}
 	e.heapPops++
-	return top
+	return x
 }
 
 // release frees an event's slot for reuse.
@@ -125,7 +142,7 @@ func (e *Engine) release(slot int32) {
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   []entry     // 4-ary min-heap by (t, seq)
+	queue   []entry     // 4-ary min-heap by (t, seq) of pending events
 	slots   []eventSlot // indexed by entry.slot
 	free    []int32     // unoccupied slots
 	rng     *Rand
@@ -161,7 +178,8 @@ func (e *Engine) Rand() *Rand { return e.rng }
 // EventsFired returns the number of events executed so far.
 func (e *Engine) EventsFired() uint64 { return e.fired }
 
-// Pending returns the number of events currently queued.
+// Pending returns the number of events currently queued. Cancelled
+// events leave the queue at Cancel, so every queued event is live.
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // HeapStats snapshots the event-queue counters: pushes, pops, in-place
@@ -235,45 +253,32 @@ func (e *Engine) After(d Time, fn func()) Handle {
 // Step executes the single earliest pending event. It returns false when
 // the queue is empty or the engine has been stopped.
 func (e *Engine) Step() bool {
-	for {
-		if e.stopped || len(e.queue) == 0 {
-			return false
-		}
-		x := e.pop()
-		if !e.live(x) {
-			continue
-		}
-		if x.t < e.now {
-			panic("sim: time went backwards")
-		}
-		e.now = x.t
-		s := e.slots[x.slot]
-		e.release(x.slot)
-		e.fired++
-		if e.stats != nil {
-			e.stats.RunEvent(int64(x.t), s.perfLabel, s.fn)
-		} else {
-			s.fn()
-		}
-		return true
+	if e.stopped || len(e.queue) == 0 {
+		return false
 	}
+	x := e.remove(0)
+	if x.t < e.now {
+		panic("sim: time went backwards")
+	}
+	e.now = x.t
+	s := e.slots[x.slot]
+	e.release(x.slot)
+	e.fired++
+	if e.stats != nil {
+		e.stats.RunEvent(int64(x.t), s.perfLabel, s.fn)
+	} else {
+		s.fn()
+	}
+	return true
 }
 
 // Run executes events until the clock would pass the until instant, the
 // queue drains, or Stop is called. On return the clock reads exactly
 // until (if the horizon was hit) or the time of the last event executed.
 func (e *Engine) Run(until Time) {
-	for !e.stopped && len(e.queue) > 0 {
-		// Peek without popping so an over-horizon event survives for a
-		// later Run call.
-		next := e.queue[0]
-		if !e.live(next) {
-			e.pop()
-			continue
-		}
-		if next.t > until {
-			break
-		}
+	// Peek without popping so an over-horizon event survives for a
+	// later Run call.
+	for !e.stopped && len(e.queue) > 0 && e.queue[0].t <= until {
 		e.Step()
 	}
 	if !e.stopped && e.now < until {

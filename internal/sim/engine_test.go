@@ -351,8 +351,8 @@ func TestEngineHeapStatsCountsCancelledPops(t *testing.T) {
 	e.At(20, func() {})
 	e.Run(100)
 	hs := e.HeapStats()
-	// Both handles leave the heap: the cancelled one via the Run peek
-	// path or Step's skip loop, the live one via Step.
+	// Both handles leave the heap: the cancelled one at Cancel, which
+	// counts as a pop, the live one via Step.
 	if hs.Pushes != 2 || hs.Pops != 2 {
 		t.Fatalf("pushes/pops = %d/%d, want 2/2", hs.Pushes, hs.Pops)
 	}
@@ -432,7 +432,9 @@ func TestEngineStaleHandleLeavesReusedSlotAlone(t *testing.T) {
 // pending events with the same random mix of At, Cancel, Step and
 // Run(horizon) — including events scheduled at now and callbacks that
 // cancel themselves, cancel others or schedule more — and checks that
-// the engine always fires the earliest pending event by (t, seq).
+// the engine always fires the earliest pending event by (t, seq), that
+// the queue holds exactly the pending events, and that the heap stays
+// well formed.
 func TestEngineMatchesReferenceModel(t *testing.T) {
 	type event struct {
 		t       Time
@@ -510,16 +512,83 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 					t.Fatalf("seed %d op %d: Run(%d) left event at %d pending", seed, op, until, x.t)
 				}
 			}
+			pending := 0
 			for _, x := range evs {
 				if x.h.Active() != x.pending {
 					t.Fatalf("seed %d op %d: Active = %t, model says pending = %t", seed, op, x.h.Active(), x.pending)
 				}
+				if x.pending {
+					pending++
+				}
+			}
+			if e.Pending() != pending {
+				t.Fatalf("seed %d op %d: Pending = %d, model has %d pending", seed, op, e.Pending(), pending)
+			}
+			if err := e.checkHeap(); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
 			}
 		}
 		e.RunAll()
 		if x := earliest(); x != nil {
 			t.Fatalf("seed %d: RunAll left %+v pending", seed, x)
 		}
+	}
+}
+
+// checkHeap verifies the queue's invariants: every entry's slot holds
+// the entry's sequence number and queue index, and no entry sorts
+// before its parent by (t, seq).
+func (e *Engine) checkHeap() error {
+	for i, x := range e.queue {
+		s := e.slots[x.slot]
+		if s.seq != x.seq {
+			return fmt.Errorf("queue[%d] (seq %d) sits in slot %d holding seq %d", i, x.seq, x.slot, s.seq)
+		}
+		if int(s.pos) != i {
+			return fmt.Errorf("queue[%d] (seq %d) has stored pos %d", i, x.seq, s.pos)
+		}
+		if p := (i - 1) / 4; i > 0 && x.before(e.queue[p]) {
+			return fmt.Errorf("queue[%d] (t=%d seq=%d) sorts before its parent queue[%d] (t=%d seq=%d)",
+				i, x.t, x.seq, p, e.queue[p].t, e.queue[p].seq)
+		}
+	}
+	return nil
+}
+
+// A scheduler core arms a far-future timeslice timer on every dispatch
+// and cancels it when the thread blocks microseconds later. Each
+// cancelled timer must leave the queue at once, so the queue holds only
+// the live events however many timers come and go.
+func TestEngineSliceTimerChurnKeepsQueueLive(t *testing.T) {
+	const n = 64
+	e := NewEngine(1)
+	expired := 0
+	sliceExpired := func() { expired++ }
+	var run func()
+	run = func() {
+		slice := e.After(e.Rand().Jitter(10*Millisecond, 0.5), sliceExpired)
+		e.After(e.Rand().Duration(10*Microsecond), run)
+		slice.Cancel()
+	}
+	for i := 0; i < n; i++ {
+		e.At(Time(i), run)
+	}
+	for i := 0; i < 100*n; i++ {
+		if !e.Step() {
+			t.Fatalf("step %d: queue drained", i)
+		}
+		if e.Pending() != n {
+			t.Fatalf("step %d: Pending = %d, want %d", i, e.Pending(), n)
+		}
+	}
+	if expired != 0 {
+		t.Fatalf("%d cancelled slice timers fired", expired)
+	}
+	if hs := e.HeapStats(); hs.MaxDepth > n+1 || hs.Pushes != hs.Pops+uint64(hs.Pending) {
+		t.Fatalf("heap stats %+v: want max depth <= %d and pushes = pops + pending", hs, n+1)
+	}
+	if err := e.checkHeap(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -544,6 +613,13 @@ func TestEngineAtDoesNotAllocate(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() { e.Step() }); n != 0 {
 		t.Fatalf("At+Step allocates %.1f objects per event, want 0", n)
+	}
+	noop := func() {}
+	if n := testing.AllocsPerRun(1000, func() {
+		e.After(Millisecond, noop).Cancel()
+		e.Step()
+	}); n != 0 {
+		t.Fatalf("At+Cancel+Step allocates %.1f objects per event, want 0", n)
 	}
 }
 
