@@ -173,7 +173,7 @@ func TestRedirectorPicksLeastLoadedOnline(t *testing.T) {
 	w := NewSchedWatcher()
 	w.Attach(vm)
 	r := NewRedirector(w, PolicyLeastLoaded, sim.NewRand(1))
-	dev := vm.AllocVector(vmm.ClassDevice, func(*vmm.VCPU) (sim.Time, func()) {
+	dev := vm.AllocVector(vmm.ClassDevice, func(*vmm.VCPU) (sim.Time, func(*vmm.VCPU)) {
 		return sim.Microsecond, nil
 	})
 	for _, v := range vm.VCPUs {
@@ -299,8 +299,8 @@ func TestEndToEndRedirectionReducesLatency(t *testing.T) {
 		e.AttachVM(vmA)
 		e.AttachVM(vmB)
 		var handledAt sim.Time
-		vec := vmA.AllocVector(vmm.ClassDevice, func(*vmm.VCPU) (sim.Time, func()) {
-			return sim.Microsecond, func() { handledAt = eng.Now() }
+		vec := vmA.AllocVector(vmm.ClassDevice, func(*vmm.VCPU) (sim.Time, func(*vmm.VCPU)) {
+			return sim.Microsecond, func(*vmm.VCPU) { handledAt = eng.Now() }
 		})
 		for _, vm := range []*vmm.VM{vmA, vmB} {
 			for _, v := range vm.VCPUs {

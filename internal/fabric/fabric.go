@@ -102,6 +102,7 @@ func (sw *Switch) SetRouter(r Router) { sw.router = r }
 // in creation order.
 func (sw *Switch) AddPort(name string, dst netsim.Endpoint) *Port {
 	p := &Port{sw: sw, index: len(sw.ports), name: name, dst: dst}
+	p.deliverFn = p.deliver
 	sw.ports = append(sw.ports, p)
 	return p
 }
@@ -139,6 +140,15 @@ type Port struct {
 	egressBusyUntil  sim.Time
 	egressQueued     int
 
+	// inflight holds the frames committed to this port's egress wire,
+	// in delivery order, and deliverFn (bound once) delivers the
+	// oldest. Delivery is FIFO: egressBusyUntil only grows and the
+	// forwarding delay is fixed, so each frame is due no earlier than
+	// the one routed here before it, and frames due at the same
+	// instant fire in scheduling order.
+	inflight  sim.Ring[flight]
+	deliverFn func()
+
 	// Chaos impairment windows (see SetLinkDown/SetDegraded/
 	// SetBlackhole). Each is an absolute instant; the impairment is
 	// active while the clock is before it.
@@ -165,6 +175,15 @@ type Port struct {
 	// send is counted — the same wire-fault hook netsim.Port exposes;
 	// the fault injector owns the closure and its accounting.
 	SendFault func() netsim.FaultAction
+}
+
+// flight is one frame on its way out of an egress port.
+type flight struct {
+	pkt *netsim.Packet
+	at  sim.Time // delivery instant, checked against a link that went down
+	// dup marks a link-level duplicate, which rides its original's
+	// egress slot instead of holding one of its own.
+	dup bool
 }
 
 // Index returns the port's index in creation order.
@@ -332,32 +351,32 @@ func (p *Port) Send(pkt *netsim.Packet) {
 	}
 
 	deliverAt := outDone + sw.params.Delay
-	dst := out.dst
 	if dup {
-		// Link-level duplication: the copy rides the same egress slot.
+		// Link-level duplication: the copy rides the same egress slot
+		// and, scheduled first, arrives first.
 		q := *pkt
-		sw.eng.At(deliverAt, func() {
-			if deliverAt < out.downUntil {
-				out.LinkDrops++
-				return
-			}
-			out.RxPkts++
-			out.RxBytes += uint64(q.Bytes)
-			dst.Receive(&q)
-		})
+		out.inflight.PushBack(flight{pkt: &q, at: deliverAt, dup: true})
+		sw.eng.At(deliverAt, out.deliverFn)
 	}
-	sw.eng.At(deliverAt, func() {
-		out.egressQueued--
-		// The link may have dropped while the frame was in flight on
-		// the egress wire; those bits are lost too.
-		if deliverAt < out.downUntil {
-			out.LinkDrops++
-			return
-		}
-		out.RxPkts++
-		out.RxBytes += uint64(pkt.Bytes)
-		dst.Receive(pkt)
-	})
+	out.inflight.PushBack(flight{pkt: pkt, at: deliverAt})
+	sw.eng.At(deliverAt, out.deliverFn)
+}
+
+// deliver hands the oldest in-flight frame to the attached endpoint.
+func (p *Port) deliver() {
+	f := p.inflight.PopFront()
+	if !f.dup {
+		p.egressQueued--
+	}
+	// The link may have dropped while the frame was in flight on the
+	// egress wire; those bits are lost too.
+	if f.at < p.downUntil {
+		p.LinkDrops++
+		return
+	}
+	p.RxPkts++
+	p.RxBytes += uint64(f.pkt.Bytes)
+	p.dst.Receive(f.pkt)
 }
 
 // QueueDelay reports how long a frame sent now would wait before its

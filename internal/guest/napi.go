@@ -25,6 +25,15 @@ type NAPI struct {
 	vcpu      *vmm.VCPU // vCPU the current poll cycle runs on
 	burst     int       // consecutive poll rounds in the current cycle
 
+	// batch holds the packets of the poll round in flight, and flows
+	// the batch-aware handlers among them; both are reused across
+	// rounds (a cycle has at most one round in flight). pollFn and
+	// deliverFn are the round's two task continuations, bound once.
+	batch     []*netsim.Packet
+	flows     []BatchHandler
+	pollFn    func()
+	deliverFn func()
+
 	// Rounds counts poll rounds; Polled counts packets processed.
 	Rounds uint64
 	Polled uint64
@@ -43,7 +52,10 @@ type NAPI struct {
 const softirqRestartLimit = 10
 
 func newNAPI(p *QueuePair, weight int) *NAPI {
-	return &NAPI{pair: p, weight: weight}
+	n := &NAPI{pair: p, weight: weight}
+	n.pollFn = func() { n.poll(n.vcpu) }
+	n.deliverFn = n.deliver
+	return n
 }
 
 // schedule requests a poll cycle on vCPU v (idempotent while already
@@ -62,10 +74,7 @@ func (n *NAPI) schedule(v *vmm.VCPU) {
 // ksoftirqd handoff) once it has monopolized the vCPU for
 // softirqRestartLimit rounds — queued FIFO behind any starving tasks.
 func (n *NAPI) enqueuePoll() {
-	v := n.vcpu
-	v.EnqueueTask(vmm.NewTask("napi", n.prio(), n.pair.Dev.Kern.Costs.NAPIPoll, func() {
-		n.poll(v)
-	}))
+	n.vcpu.EnqueueTask(vmm.NewTask("napi", n.prio(), n.pair.Dev.Kern.Costs.NAPIPoll, n.pollFn))
 }
 
 // prio returns the priority the current poll round runs at.
@@ -98,13 +107,12 @@ func (n *NAPI) poll(v *vmm.VCPU) {
 	if n.pair.Dev.DoorbellNoExit || n.pair.RX.KickSuppressed() {
 		n.pair.RX.Kick()
 	} else {
-		rx := n.pair.RX
-		v.BeginExit(vmm.ExitIOInstruction, func() { rx.Kick() })
+		v.BeginExit(vmm.ExitIOInstruction, n.pair.kickRX)
 	}
 	var cost sim.Time
 	path := n.pair.Dev.Kern.VM.K.Path
 	ca := n.pair.Dev.Kern.VM.K.Causal
-	pkts := make([]*netsim.Packet, 0, len(batch))
+	pkts := n.batch[:0]
 	for _, d := range batch {
 		p, ok := d.Payload.(*netsim.Packet)
 		if !ok {
@@ -138,83 +146,95 @@ func (n *NAPI) poll(v *vmm.VCPU) {
 		pkts = append(pkts, p)
 		cost += n.pair.Dev.Kern.rxCost(p)
 	}
+	n.batch = pkts
 	n.Polled += uint64(len(pkts))
 	name := "napi-rx"
 	if v.VM.K.Prof != nil {
 		// Label the batch by protocol for CPU attribution. Task names
 		// never influence behaviour, so this cannot perturb the run.
-		name += ":" + protoLabel(pkts)
+		name = protoLabel(pkts)
 	}
-	v.EnqueueTask(vmm.NewTask(name, n.prio(), cost, func() {
-		if path != nil {
-			now := v.VM.K.Eng.Now()
-			for _, p := range pkts {
-				path.Observe(trace.StageDeliver, trace.MechNone, now-p.SpanT)
-			}
-		}
-		if ca != nil {
-			// Guest receive stack: poll collect → protocol dispatch.
-			now := v.VM.K.Eng.Now()
-			for _, p := range pkts {
-				ca.Mark(p.Chain, causal.StageGuestRX, now)
-			}
-		}
-		var batchFlows []BatchHandler
-		for _, p := range pkts {
-			if bh, ok := n.pair.Dev.Kern.lookup(p).(BatchHandler); ok {
-				dup := false
-				for _, b := range batchFlows {
-					if b == bh {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					batchFlows = append(batchFlows, bh)
-				}
-			}
-			n.pair.Dev.Kern.dispatch(p, v)
-		}
-		for _, bh := range batchFlows {
-			bh.BatchEnd(v)
-		}
-		if n.pair.RX.UsedLen() > 0 {
-			// Budget exhausted with work remaining: stay in polling.
-			n.enqueuePoll()
-			return
-		}
-		n.finish()
-	}))
+	v.EnqueueTask(vmm.NewTask(name, n.prio(), cost, n.deliverFn))
 }
 
-// protoLabel classifies a poll batch by the protocol of its packets
-// ("tcp", "udp", "icmp", "app", or "mixed"), mirroring how a real
-// profile splits net_rx_action time between tcp_v4_rcv, udp_rcv, and
-// the socket layer.
+// deliver ends a poll round: the batch's processing time has been
+// charged, so hand each packet to its flow, close the batch on every
+// batch-aware flow, then keep polling or finish the cycle.
+func (n *NAPI) deliver() {
+	v := n.vcpu
+	pkts := n.batch
+	kern := n.pair.Dev.Kern
+	if path := kern.VM.K.Path; path != nil {
+		now := v.VM.K.Eng.Now()
+		for _, p := range pkts {
+			path.Observe(trace.StageDeliver, trace.MechNone, now-p.SpanT)
+		}
+	}
+	if ca := kern.VM.K.Causal; ca != nil {
+		// Guest receive stack: poll collect → protocol dispatch.
+		now := v.VM.K.Eng.Now()
+		for _, p := range pkts {
+			ca.Mark(p.Chain, causal.StageGuestRX, now)
+		}
+	}
+	flows := n.flows[:0]
+	for _, p := range pkts {
+		if bh, ok := kern.lookup(p).(BatchHandler); ok {
+			dup := false
+			for _, b := range flows {
+				if b == bh {
+					dup = true
+					break
+				}
+			}
+			if !dup {
+				flows = append(flows, bh)
+			}
+		}
+		kern.dispatch(p, v)
+	}
+	for _, bh := range flows {
+		bh.BatchEnd(v)
+	}
+	clear(pkts)
+	clear(flows)
+	n.batch, n.flows = pkts[:0], flows[:0]
+	if n.pair.RX.UsedLen() > 0 {
+		// Budget exhausted with work remaining: stay in polling.
+		n.enqueuePoll()
+		return
+	}
+	n.finish()
+}
+
+// protoLabel names a poll batch's task by the protocol of its packets
+// ("napi-rx:tcp", ":udp", ":icmp", ":app", ":other" or ":mixed"),
+// mirroring how a real profile splits net_rx_action time between
+// tcp_v4_rcv, udp_rcv, and the socket layer.
 func protoLabel(pkts []*netsim.Packet) string {
 	label := ""
 	for _, p := range pkts {
 		var l string
 		switch p.Kind {
 		case KindTCPData, KindTCPAck, KindSYN, KindSYNACK:
-			l = "tcp"
+			l = "napi-rx:tcp"
 		case KindUDP:
-			l = "udp"
+			l = "napi-rx:udp"
 		case KindEcho, KindEchoReply:
-			l = "icmp"
+			l = "napi-rx:icmp"
 		case KindRequest, KindResponse:
-			l = "app"
+			l = "napi-rx:app"
 		default:
-			l = "other"
+			l = "napi-rx:other"
 		}
 		if label == "" {
 			label = l
 		} else if label != l {
-			return "mixed"
+			return "napi-rx:mixed"
 		}
 	}
 	if label == "" {
-		return "other"
+		return "napi-rx:other"
 	}
 	return label
 }

@@ -178,6 +178,11 @@ type TCPReceiver struct {
 	appPendingPkts  int
 	appPendingBytes int
 	appBusy         bool
+	// The copy task in flight (while appBusy): its size, its vCPU and
+	// its completion, bound once.
+	appPkts, appBytes int
+	appV              *vmm.VCPU
+	appDoneFn         func()
 
 	// BytesReceived and Segs count goodput (counted when the copy to
 	// the application completes).
@@ -192,6 +197,7 @@ type TCPReceiver struct {
 // NewTCPReceiver registers and returns a receiver flow.
 func NewTCPReceiver(k *Kernel, flowID int) *TCPReceiver {
 	f := &TCPReceiver{Kern: k, FlowID: flowID}
+	f.appDoneFn = f.appDone
 	k.RegisterFlow(flowID, f)
 	return f
 }
@@ -244,12 +250,16 @@ func (f *TCPReceiver) runApp(v *vmm.VCPU) {
 	f.appBusy = true
 	pkts, bytes := f.appPendingPkts, f.appPendingBytes
 	f.appPendingPkts, f.appPendingBytes = 0, 0
+	f.appPkts, f.appBytes, f.appV = pkts, bytes, v
 	c := f.Kern.Costs
 	cost := sim.Time(pkts)*c.RXCopyBase + sim.Time(c.RXCopyPerByte*float64(bytes))
-	v.EnqueueTask(vmm.NewTask("recv-copy", vmm.PrioTask, f.Kern.JitterCost(cost), func() {
-		f.BytesReceived += uint64(bytes)
-		f.Segs += uint64(pkts)
-		f.appBusy = false
-		f.runApp(v)
-	}))
+	v.EnqueueTask(vmm.NewTask("recv-copy", vmm.PrioTask, f.Kern.JitterCost(cost), f.appDoneFn))
+}
+
+// appDone completes the copy task in flight and starts the next one.
+func (f *TCPReceiver) appDone() {
+	f.BytesReceived += uint64(f.appBytes)
+	f.Segs += uint64(f.appPkts)
+	f.appBusy = false
+	f.runApp(f.appV)
 }

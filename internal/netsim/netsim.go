@@ -85,6 +85,14 @@ type Port struct {
 	busyUntil sim.Time
 	dst       Endpoint
 
+	// inflight holds the frames on the wire, in delivery order, and
+	// deliverFn (bound once) delivers the oldest. Delivery is FIFO:
+	// busyUntil only grows and the delay is fixed, so each frame is
+	// due no earlier than the one sent before it, and frames due at
+	// the same instant fire in scheduling order.
+	inflight  sim.Ring[*Packet]
+	deliverFn func()
+
 	// PacketsSent and BytesSent count traffic through this port.
 	PacketsSent uint64
 	BytesSent   uint64
@@ -103,9 +111,15 @@ func NewLink(eng *sim.Engine, gbps float64, delay sim.Time) *Link {
 	}
 	bytesPerNs := gbps / 8.0 // Gbit/s == bit/ns; /8 for bytes
 	l := &Link{eng: eng}
-	l.a2b = &Port{eng: eng, rate: bytesPerNs, delay: delay}
-	l.b2a = &Port{eng: eng, rate: bytesPerNs, delay: delay}
+	l.a2b = newPort(eng, bytesPerNs, delay)
+	l.b2a = newPort(eng, bytesPerNs, delay)
 	return l
+}
+
+func newPort(eng *sim.Engine, rate float64, delay sim.Time) *Port {
+	p := &Port{eng: eng, rate: rate, delay: delay}
+	p.deliverFn = p.deliver
+	return p
 }
 
 // Attach wires endpoint a to one side and b to the other. PortA sends
@@ -142,18 +156,23 @@ func (p *Port) Send(pkt *Packet) {
 	pkt.Sent = now
 	p.PacketsSent++
 	p.BytesSent += uint64(pkt.Bytes)
-	dst := p.dst
 	if p.SendFault != nil {
 		switch p.SendFault() {
 		case FaultDrop:
 			return
 		case FaultDup:
+			// The copy is scheduled first, so it arrives first.
 			q := *pkt
-			p.eng.At(done+p.delay, func() { dst.Receive(&q) })
+			p.inflight.PushBack(&q)
+			p.eng.At(done+p.delay, p.deliverFn)
 		}
 	}
-	p.eng.At(done+p.delay, func() { dst.Receive(pkt) })
+	p.inflight.PushBack(pkt)
+	p.eng.At(done+p.delay, p.deliverFn)
 }
+
+// deliver hands the oldest in-flight frame to the remote endpoint.
+func (p *Port) deliver() { p.dst.Receive(p.inflight.PopFront()) }
 
 // QueueDelay reports how long a packet sent now would wait before its
 // serialization starts (backlog on this direction).

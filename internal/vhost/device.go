@@ -62,7 +62,9 @@ type Device struct {
 	rx  *rxHandler
 	rng *sim.Rand
 
-	backlog []*netsim.Packet
+	// backlog is the tap buffer: wire ingress waiting for the RX
+	// handler, oldest first.
+	backlog sim.Ring[*netsim.Packet]
 
 	// Wire-side statistics.
 	TxPkts, TxBytes uint64
@@ -99,7 +101,10 @@ func NewDevice(name string, io *IOThread, txq, rxq *virtio.Virtqueue, port netsi
 		rng: io.s.Engine().Rand().Fork(),
 	}
 	d.tx = &txHandler{dev: d}
+	d.tx.sendFn = d.tx.send
 	d.rx = &rxHandler{dev: d}
+	d.rx.copyFn = d.rx.copyIn
+	d.rx.signalFn = func() { d.RXQ.Signal() }
 	txq.OnKick(d.tx.kicked)
 	rxq.OnKick(d.rx.kicked)
 	// vhost keeps RX-refill notifications suppressed unless starved for
@@ -111,7 +116,7 @@ func NewDevice(name string, io *IOThread, txq, rxq *virtio.Virtqueue, port netsi
 // Receive implements netsim.Endpoint: ingress from the wire lands in
 // the tap backlog and schedules the RX handler.
 func (d *Device) Receive(p *netsim.Packet) {
-	if len(d.backlog) >= d.Params.BacklogCap {
+	if d.backlog.Len() >= d.Params.BacklogCap {
 		d.BacklogDrops++
 		return
 	}
@@ -120,12 +125,12 @@ func (d *Device) Receive(p *netsim.Packet) {
 	}
 	// Wire/fabric transit (plus any peer turnaround) closes here.
 	d.Causal.Mark(p.Chain, causal.StageWire, d.IO.s.Now())
-	d.backlog = append(d.backlog, p)
+	d.backlog.PushBack(p)
 	d.IO.enqueue(d.rx)
 }
 
 // Backlog returns the current ingress backlog length.
-func (d *Device) Backlog() int { return len(d.backlog) }
+func (d *Device) Backlog() int { return d.backlog.Len() }
 
 // DropBacklog discards every queued ingress frame, counting them as
 // backlog drops. Used by host-crash injection: the tap buffer does not
@@ -133,11 +138,8 @@ func (d *Device) Backlog() int { return len(d.backlog) }
 // does. In-flight RX handler plans notice the head changed and abort
 // safely.
 func (d *Device) DropBacklog() int {
-	n := len(d.backlog)
-	for i := range d.backlog {
-		d.backlog[i] = nil
-	}
-	d.backlog = d.backlog[:0]
+	n := d.backlog.Len()
+	d.backlog.Clear()
 	d.BacklogDrops += uint64(n)
 	return n
 }
@@ -233,20 +235,20 @@ func (d *Device) StartRePoll(period sim.Time) {
 			txStrikes = 0
 		}
 		lastTxPopped = d.TXQ.Popped
-		if txStrikes >= 2 && !d.IO.queued[d.tx] {
+		if txStrikes >= 2 && !d.IO.queued(d.tx) {
 			txStrikes = 0
 			d.RePolls++
 			d.IO.enqueue(d.tx)
 		}
 		// RX: wire packets wait in the backlog, guest buffers exist,
 		// yet nothing has been delivered.
-		if len(d.backlog) > 0 && d.RXQ.AvailLen() > 0 && d.RxPkts == lastRxPkts {
+		if d.backlog.Len() > 0 && d.RXQ.AvailLen() > 0 && d.RxPkts == lastRxPkts {
 			rxStrikes++
 		} else {
 			rxStrikes = 0
 		}
 		lastRxPkts = d.RxPkts
-		if rxStrikes >= 2 && !d.IO.queued[d.rx] {
+		if rxStrikes >= 2 && !d.IO.queued(d.rx) {
 			rxStrikes = 0
 			d.RePolls++
 			d.IO.enqueue(d.rx)
@@ -262,6 +264,12 @@ type txHandler struct {
 	dev      *Device
 	workload int
 	requeued bool
+
+	// desc is the descriptor being copied (popped at popT); sendFn,
+	// bound once, is the effect that puts it on the wire.
+	desc   virtio.Desc
+	popT   sim.Time
+	sendFn func()
 }
 
 // kicked is the ioeventfd callback: the guest's I/O request wakes the
@@ -324,29 +332,37 @@ func (h *txHandler) plan() (sim.Time, func()) {
 	}
 	cost := dev.jitter(dev.Params.txCost(desc.Len))
 	dev.IO.act = actTX
-	var popT sim.Time
+	h.desc = desc
 	if dev.Path != nil {
-		popT = dev.IO.s.Now()
+		h.popT = dev.IO.s.Now()
 	}
-	return cost, func() {
-		if pkt, okP := desc.Payload.(*netsim.Packet); okP {
-			if dev.Path != nil {
-				dev.Path.Observe(trace.StageBackendTX, trace.MechNone, dev.IO.s.Now()-popT)
-			}
-			dev.Causal.Mark(pkt.Chain, causal.StageBackendTX, dev.IO.s.Now())
-			dev.Port.Send(pkt)
-			dev.TxPkts++
-			dev.TxBytes += uint64(pkt.Bytes)
+	return cost, h.sendFn
+}
+
+// send is the effect of one TX step: the popped descriptor's copy is
+// done, so its packet goes on the wire and the buffer is returned.
+func (h *txHandler) send() {
+	dev := h.dev
+	q := dev.TXQ
+	desc := h.desc
+	h.desc = virtio.Desc{}
+	if pkt, okP := desc.Payload.(*netsim.Packet); okP {
+		if dev.Path != nil {
+			dev.Path.Observe(trace.StageBackendTX, trace.MechNone, dev.IO.s.Now()-h.popT)
 		}
-		q.PushUsed(desc)
-		q.Signal() // TX completion; normally suppressed by the guest
-		h.workload++
-		if dev.Hybrid && h.workload >= dev.Quota {
-			// Algorithm 1 line 16: wait for the next turn, keeping the
-			// guest's notifications disabled (polling mode persists).
-			h.requeued = true
-			dev.IO.requeue(h)
-		}
+		dev.Causal.Mark(pkt.Chain, causal.StageBackendTX, dev.IO.s.Now())
+		dev.Port.Send(pkt)
+		dev.TxPkts++
+		dev.TxBytes += uint64(pkt.Bytes)
+	}
+	q.PushUsed(desc)
+	q.Signal() // TX completion; normally suppressed by the guest
+	h.workload++
+	if dev.Hybrid && h.workload >= dev.Quota {
+		// Algorithm 1 line 16: wait for the next turn, keeping the
+		// guest's notifications disabled (polling mode persists).
+		h.requeued = true
+		dev.IO.requeue(h)
 	}
 }
 
@@ -357,6 +373,12 @@ type rxHandler struct {
 	served        int
 	requeued      bool
 	pendingSignal bool
+
+	// pkt is the backlog head being copied; copyFn and signalFn, bound
+	// once, are the effects of a copy step and of the turn-end signal.
+	pkt      *netsim.Packet
+	copyFn   func()
+	signalFn func()
 }
 
 // kicked is the guest's RX-refill notification.
@@ -374,7 +396,7 @@ func (h *rxHandler) turnStart() {
 
 func (h *rxHandler) plan() (sim.Time, func()) {
 	dev := h.dev
-	if h.requeued || len(dev.backlog) == 0 || dev.RXQ.AvailLen() == 0 {
+	if h.requeued || dev.backlog.Len() == 0 || dev.RXQ.AvailLen() == 0 {
 		// The turn is ending (quota, drained, or buffer-starved):
 		// signal the guest once for the whole batch, as
 		// vhost_signal does at the end of handle_rx — unless interrupt
@@ -383,10 +405,10 @@ func (h *rxHandler) plan() (sim.Time, func()) {
 			h.pendingSignal = false
 			if dev.takeSignal() {
 				dev.IO.act = actSignal
-				return dev.Params.SignalCost, func() { dev.RXQ.Signal() }
+				return dev.Params.SignalCost, h.signalFn
 			}
 		}
-		if h.requeued || len(dev.backlog) == 0 {
+		if h.requeued || dev.backlog.Len() == 0 {
 			return 0, nil // wake on next Receive (or next turn)
 		}
 		// No guest buffers: ask the guest to kick us after refilling.
@@ -399,43 +421,48 @@ func (h *rxHandler) plan() (sim.Time, func()) {
 		}
 		return 0, nil
 	}
-	pkt := dev.backlog[0]
-	cost := dev.jitter(dev.Params.rxCost(pkt.Bytes))
+	h.pkt = *dev.backlog.Front()
+	cost := dev.jitter(dev.Params.rxCost(h.pkt.Bytes))
 	dev.IO.act = actRX
-	return cost, func() {
-		if len(dev.backlog) == 0 || dev.backlog[0] != pkt {
-			return // raced with a drop; nothing to do
-		}
-		copy(dev.backlog, dev.backlog[1:])
-		dev.backlog[len(dev.backlog)-1] = nil
-		dev.backlog = dev.backlog[:len(dev.backlog)-1]
-		desc, ok := dev.RXQ.Pop()
-		if !ok {
-			dev.BacklogDrops++
-			return
-		}
-		desc.Len = pkt.Bytes
-		desc.Payload = pkt
-		if dev.Path != nil {
-			now := dev.IO.s.Now()
-			// Backend-rx closes (tap backlog wait + copy into the guest
-			// buffer); the ring-wait span opens on the used descriptor.
-			dev.Path.Observe(trace.StageBackendRX, trace.MechNone, now-pkt.SpanT)
-			desc.SpanT = now
-		}
-		dev.Causal.Mark(pkt.Chain, causal.StageBackendRX, dev.IO.s.Now())
-		dev.RXQ.PushUsed(desc)
-		h.pendingSignal = true
-		dev.noteRxPacket()
-		dev.RxPkts++
-		dev.RxBytes += uint64(pkt.Bytes)
-		h.served++
-		// The ES2 quota governs guest I/O-request polling (the TX
-		// virtqueue); wire ingress keeps vhost's own handle_rx budget
-		// so receive batching is unaffected by the hybrid scheme.
-		if h.served >= rxBudget && len(dev.backlog) > 0 {
-			h.requeued = true
-			dev.IO.requeue(h)
-		}
+	return cost, h.copyFn
+}
+
+// copyIn is the effect of one RX step: the backlog head planned for
+// has been copied into the next guest buffer.
+func (h *rxHandler) copyIn() {
+	dev := h.dev
+	pkt := h.pkt
+	h.pkt = nil
+	if dev.backlog.Len() == 0 || *dev.backlog.Front() != pkt {
+		return // raced with a drop; nothing to do
+	}
+	dev.backlog.PopFront()
+	desc, ok := dev.RXQ.Pop()
+	if !ok {
+		dev.BacklogDrops++
+		return
+	}
+	desc.Len = pkt.Bytes
+	desc.Payload = pkt
+	if dev.Path != nil {
+		now := dev.IO.s.Now()
+		// Backend-rx closes (tap backlog wait + copy into the guest
+		// buffer); the ring-wait span opens on the used descriptor.
+		dev.Path.Observe(trace.StageBackendRX, trace.MechNone, now-pkt.SpanT)
+		desc.SpanT = now
+	}
+	dev.Causal.Mark(pkt.Chain, causal.StageBackendRX, dev.IO.s.Now())
+	dev.RXQ.PushUsed(desc)
+	h.pendingSignal = true
+	dev.noteRxPacket()
+	dev.RxPkts++
+	dev.RxBytes += uint64(pkt.Bytes)
+	h.served++
+	// The ES2 quota governs guest I/O-request polling (the TX
+	// virtqueue); wire ingress keeps vhost's own handle_rx budget
+	// so receive batching is unaffected by the hybrid scheme.
+	if h.served >= rxBudget && dev.backlog.Len() > 0 {
+		h.requeued = true
+		dev.IO.requeue(h)
 	}
 }

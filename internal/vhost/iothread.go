@@ -50,10 +50,10 @@ type IOThread struct {
 	Thread *sched.Thread
 	params Params
 
-	work []handler
-	// queued tracks membership in work (or the running slot) so a
-	// handler is never double-queued.
-	queued map[handler]bool
+	// work is the FIFO of handlers waiting for a turn. A handler is
+	// never queued twice; the queue holds at most a device's few
+	// handlers, so membership is a scan (see queued).
+	work sim.Ring[handler]
 
 	cur       handler
 	inSwitch  bool // the HandlerSwitch overhead chunk is in flight
@@ -83,7 +83,7 @@ type IOThread struct {
 
 // NewIOThread creates the worker pinned to the given core.
 func NewIOThread(name string, s *sched.Scheduler, core int, params Params) *IOThread {
-	t := &IOThread{Name: name, s: s, params: params, queued: make(map[handler]bool), track: trace.NoTrack}
+	t := &IOThread{Name: name, s: s, params: params, track: trace.NoTrack}
 	t.Thread = s.NewThread(name, core, 0, t)
 	return t
 }
@@ -137,11 +137,10 @@ func (t *IOThread) profLeaf() *profile.Node {
 // enqueue appends h to the work queue (idempotent) and wakes the
 // thread.
 func (t *IOThread) enqueue(h handler) {
-	if t.queued[h] {
+	if t.queued(h) {
 		return
 	}
-	t.queued[h] = true
-	t.work = append(t.work, h)
+	t.work.PushBack(h)
 	if t.Thread.State() == sched.Sleeping {
 		t.needWake = true
 		t.s.Wake(t.Thread)
@@ -180,16 +179,11 @@ func (t *IOThread) NextChunk() sim.Time {
 			}
 			return t.remaining
 		}
-		if len(t.work) == 0 {
+		if t.work.Len() == 0 {
 			return 0 // sleep
 		}
 		// Dispatch the next handler turn.
-		next := t.work[0]
-		copy(t.work, t.work[1:])
-		t.work[len(t.work)-1] = nil
-		t.work = t.work[:len(t.work)-1]
-		delete(t.queued, next)
-		t.cur = next
+		t.cur = t.work.PopFront()
 		t.Turns++
 		if t.tl != nil {
 			t.turnT = t.s.Now()
@@ -259,10 +253,19 @@ func (h *stallHandler) label() string { return "stall" }
 // requeue puts the current handler back at the tail of the work queue
 // (Algorithm 1's "goto schedule").
 func (t *IOThread) requeue(h handler) {
-	if !t.queued[h] {
-		t.queued[h] = true
-		t.work = append(t.work, h)
+	if !t.queued(h) {
+		t.work.PushBack(h)
 	}
+}
+
+// queued reports whether h is waiting in the work queue.
+func (t *IOThread) queued(h handler) bool {
+	for i := 0; i < t.work.Len(); i++ {
+		if *t.work.At(i) == h {
+			return true
+		}
+	}
+	return false
 }
 
 // clampChunk guards a zero remainder after a boundary-exact preemption.

@@ -151,14 +151,7 @@ func (k *KVM) postInterrupt(v *VCPU, vec apic.Vector) {
 	}
 	if notify {
 		k.IPIsSent++
-		k.Eng.After(k.Cost.PINotifyLatency, func() {
-			if v.InGuestMode() {
-				v.syncPIR()
-				v.poke()
-			}
-			// Not in guest mode: the posted bits stay in the PIR and
-			// are synchronized at the next VM entry.
-		})
+		k.Eng.After(k.Cost.PINotifyLatency, v.piNotifiedFn)
 	}
 	if v.Thread.State() == sched.Sleeping {
 		k.Sched.Wake(v.Thread)
@@ -175,16 +168,7 @@ func (k *KVM) injectEmulated(v *VCPU, vec apic.Vector) {
 	switch {
 	case v.InGuestMode():
 		k.IPIsSent++
-		k.Eng.After(k.Cost.IPILatency, func() {
-			// The kick only causes an exit if the vCPU is still in
-			// guest mode when the IPI lands; it may have exited for
-			// another reason meanwhile (then injection piggybacks on
-			// that exit's VM entry, costing nothing extra).
-			if v.InGuestMode() {
-				v.BeginExit(ExitExternalInterrupt, nil)
-				v.poke()
-			}
-		})
+		k.Eng.After(k.Cost.IPILatency, v.kickLandedFn)
 	case v.Thread.State() == sched.Sleeping:
 		k.Sched.Wake(v.Thread)
 	default:

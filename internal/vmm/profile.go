@@ -40,18 +40,19 @@ func (v *VCPU) enableProfiling(p *profile.Profiler, coreID int) {
 
 // profLeaf resolves the context the vCPU is consuming CPU in right
 // now. Invoked by the scheduler at every charge point, before Ran, so
-// mode/curTask/hostCur still describe the span being charged.
+// mode/curPrio/hostCur still describe the span being charged.
 func (v *VCPU) profLeaf() *profile.Node {
 	switch v.mode {
 	case kindHost:
-		if v.hostCur != nil {
+		if v.hostBusy {
 			return v.profExit[v.hostCur.reason]
 		}
 	case kindGuest:
-		if v.curTask != nil {
+		if v.curPrio != noTask {
 			// Interned per task name: the name set is small and static
 			// (irq vectors, workload task names).
-			return v.profPrio[v.curTask.Prio].Child(v.curTask.Name)
+			t := v.tasks[v.curPrio].Front()
+			return v.profPrio[t.Prio].Child(t.Name)
 		}
 		return v.profGuest
 	}

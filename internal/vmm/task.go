@@ -26,6 +26,11 @@ const (
 // one-shot: long-running guest activities re-enqueue themselves from
 // OnComplete. A task preempted by a higher-priority task (or by the
 // host scheduler) keeps its remaining time and resumes later.
+//
+// The vCPU stores queued tasks by value (EnqueueTask copies), so a
+// Task built for enqueueing never reaches the heap; only OnComplete
+// does, and callers that run the same continuation repeatedly bind it
+// once.
 type Task struct {
 	Name      string
 	Prio      Prio
@@ -34,6 +39,12 @@ type Task struct {
 	// in guest context: it may enqueue tasks, send packets, trigger
 	// exits, and so on.
 	OnComplete func()
+
+	// irq and eoi make this an interrupt-handler task (see
+	// startHandler): the IDT handler's effect, run on the vCPU, and
+	// the EOI write that follows it.
+	irq func(*VCPU)
+	eoi bool
 }
 
 // NewTask is a convenience constructor.

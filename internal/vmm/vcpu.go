@@ -43,11 +43,27 @@ type VCPU struct {
 	// UsePI set).
 	PID apic.PIDescriptor
 
-	hostCur *hostInterval
-	hostQ   []*hostInterval
-	tasks   [numPrios][]*Task
-	curTask *Task
+	// hostCur is the exit being handled while hostBusy; hostQ holds
+	// the exits queued behind it.
+	hostCur  hostInterval
+	hostBusy bool
+	hostQ    sim.Ring[hostInterval]
+	// tasks holds the queued guest work per priority, by value. The
+	// running task is always the head of tasks[curPrio] (noTask when
+	// none runs); it is reached through the ring, never by a held
+	// pointer, because an event may append to that queue mid-chunk and
+	// grow it.
+	tasks   [numPrios]sim.Ring[Task]
+	curPrio Prio
 	mode    chunkKind
+
+	// Continuations bound once: the kick IPI and posted-interrupt
+	// notification landing on this vCPU, and the background exit
+	// timer (see startBackgroundExits).
+	kickLandedFn    func()
+	piNotifiedFn    func()
+	otherExitFn     func()
+	otherExitPeriod sim.Time
 
 	// GuestTime and HostTime accumulate non-root and root mode CPU
 	// consumption; TIG = GuestTime / (GuestTime + HostTime).
@@ -103,7 +119,9 @@ type VCPU struct {
 
 // newVCPU wires a vCPU to its host thread on the given core.
 func newVCPU(vm *VM, id, coreID int) *VCPU {
-	v := &VCPU{VM: vm, ID: id, needEntrySync: true, track: trace.NoTrack}
+	v := &VCPU{VM: vm, ID: id, needEntrySync: true, curPrio: noTask, track: trace.NoTrack}
+	v.kickLandedFn = v.kickLanded
+	v.piNotifiedFn = v.piNotified
 	if tl := vm.K.Timeline; tl != nil {
 		v.track = tl.Track(vm.Name, fmt.Sprintf("vcpu%d", id))
 	}
@@ -165,26 +183,20 @@ func (v *VCPU) InGuestMode() bool {
 	return v.Thread.State() == sched.Running && v.mode == kindGuest
 }
 
-// EnqueueTask adds guest work to the vCPU and pokes the scheduler so
-// higher-priority work preempts promptly.
-func (v *VCPU) EnqueueTask(t *Task) {
-	v.tasks[t.Prio] = append(v.tasks[t.Prio], t)
-	v.poke()
-}
+// noTask is curPrio when no guest task is running.
+const noTask Prio = -1
 
-// enqueueTaskFront pushes guest work at the head of its priority queue
-// (used for interrupt handlers, which nest LIFO).
-func (v *VCPU) enqueueTaskFront(t *Task) {
-	q := v.tasks[t.Prio]
-	q = append(q, nil)
-	copy(q[1:], q)
-	q[0] = t
-	v.tasks[t.Prio] = q
+// EnqueueTask adds guest work to the vCPU and pokes the scheduler so
+// higher-priority work preempts promptly. The task is copied; t is
+// not retained.
+func (v *VCPU) EnqueueTask(t *Task) {
+	v.tasks[t.Prio].PushBack(*t)
+	v.poke()
 }
 
 // QueuedTasks returns the number of queued guest tasks at prio
 // (including a partially executed head task).
-func (v *VCPU) QueuedTasks(p Prio) int { return len(v.tasks[p]) }
+func (v *VCPU) QueuedTasks(p Prio) int { return v.tasks[p].Len() }
 
 // BeginExit queues a VM exit of the given reason on this vCPU: the
 // thread will spend the cost-model-defined interval in root mode before
@@ -195,7 +207,7 @@ func (v *VCPU) QueuedTasks(p Prio) int { return len(v.tasks[p]) }
 // in task callbacks) or from KVM delivery paths that immediately poke.
 func (v *VCPU) BeginExit(reason ExitReason, onDone func()) {
 	cost := v.VM.K.exitCost(reason)
-	v.hostQ = append(v.hostQ, &hostInterval{reason: reason, remaining: cost, onDone: onDone})
+	v.hostQ.PushBack(hostInterval{reason: reason, remaining: cost, onDone: onDone})
 	v.VM.recordExit(v, reason)
 }
 
@@ -215,15 +227,13 @@ func (v *VCPU) poke() {
 // at VM entry, then guest work by priority.
 func (v *VCPU) NextChunk() sim.Time {
 	for {
-		if v.hostCur != nil {
+		if v.hostBusy {
 			v.mode = kindHost
 			return clampChunk(v.hostCur.remaining)
 		}
-		if len(v.hostQ) > 0 {
-			v.hostCur = v.hostQ[0]
-			copy(v.hostQ, v.hostQ[1:])
-			v.hostQ[len(v.hostQ)-1] = nil
-			v.hostQ = v.hostQ[:len(v.hostQ)-1]
+		if v.hostQ.Len() > 0 {
+			v.hostCur = v.hostQ.PopFront()
+			v.hostBusy = true
 			if v.VM.K.Timeline != nil {
 				v.hostCur.start = v.VM.K.Eng.Now()
 			}
@@ -244,15 +254,15 @@ func (v *VCPU) NextChunk() sim.Time {
 			v.startHandler(vec)
 			continue
 		}
-		for p := 0; p < numPrios; p++ {
-			if len(v.tasks[p]) > 0 {
-				v.curTask = v.tasks[p][0]
+		for p := Prio(0); p < numPrios; p++ {
+			if v.tasks[p].Len() > 0 {
+				v.curPrio = p
 				v.mode = kindGuest
-				return clampChunk(v.curTask.Remaining)
+				return clampChunk(v.tasks[p].Front().Remaining)
 			}
 		}
 		v.mode = kindNone
-		v.curTask = nil
+		v.curPrio = noTask
 		return 0
 	}
 }
@@ -291,22 +301,28 @@ func (v *VCPU) startHandler(vec apic.Vector) {
 	v.VM.noteAccepted(v, vec)
 	h := v.VM.idt[vec]
 	var cost sim.Time
-	var fn func()
+	var fn func(*VCPU)
 	if h != nil {
 		cost, fn = h(v)
 	}
-	total := v.VM.K.Cost.IRQEntryExit + cost
-	v.enqueueTaskFront(&Task{
-		Name:      fmt.Sprintf("irq%#x", vec),
+	// Handlers nest LIFO: the new one runs ahead of any it interrupted.
+	v.tasks[PrioIRQ].PushFront(Task{
+		Name:      irqNames[vec],
 		Prio:      PrioIRQ,
-		Remaining: total,
-		OnComplete: func() {
-			if fn != nil {
-				fn()
-			}
-			v.completeIRQ()
-		},
+		Remaining: v.VM.K.Cost.IRQEntryExit + cost,
+		irq:       fn,
+		eoi:       true,
 	})
+}
+
+// irqNames holds each vector's handler task name ("irq0x31"), built
+// once so that interrupt delivery formats nothing.
+var irqNames [256]string
+
+func init() {
+	for vec := range irqNames {
+		irqNames[vec] = fmt.Sprintf("irq%#x", vec)
+	}
 }
 
 // LastInjection returns the injection stamp consumed by the current
@@ -339,13 +355,13 @@ func (v *VCPU) Ran(d sim.Time) {
 	switch v.mode {
 	case kindHost:
 		v.HostTime += d
-		if v.hostCur != nil {
+		if v.hostBusy {
 			v.hostCur.remaining -= d
 		}
 	case kindGuest:
 		v.GuestTime += d
-		if v.curTask != nil {
-			v.curTask.Remaining -= d
+		if v.curPrio != noTask {
+			v.tasks[v.curPrio].Front().Remaining -= d
 		}
 	}
 }
@@ -381,32 +397,38 @@ func (v *VCPU) SetPIAvailable(ok bool) {
 func (v *VCPU) ChunkDone() {
 	switch v.mode {
 	case kindHost:
-		hi := v.hostCur
-		v.hostCur = nil
+		hi, busy := v.hostCur, v.hostBusy
+		v.hostCur, v.hostBusy = hostInterval{}, false
 		v.mode = kindNone
 		v.needEntrySync = true // exit handling done: next guest run is a VM entry
-		if tl := v.VM.K.Timeline; tl.Active() && hi != nil {
+		if !busy {
+			return
+		}
+		if tl := v.VM.K.Timeline; tl.Active() {
 			tl.Slice(v.track, "exit:"+hi.reason.String(), hi.start, v.VM.K.Eng.Now())
 		}
-		if hi != nil && hi.onDone != nil {
+		if hi.onDone != nil {
 			hi.onDone()
 		}
 	case kindGuest:
-		t := v.curTask
-		v.curTask = nil
+		p := v.curPrio
+		v.curPrio = noTask
 		v.mode = kindNone
-		if t == nil {
+		if p == noTask {
 			return
 		}
-		q := v.tasks[t.Prio]
-		if len(q) == 0 || q[0] != t {
-			panic("vmm: completed task is not at its queue head")
+		if v.tasks[p].Len() == 0 {
+			panic("vmm: completed task's queue is empty")
 		}
-		copy(q, q[1:])
-		q[len(q)-1] = nil
-		v.tasks[t.Prio] = q[:len(q)-1]
+		t := v.tasks[p].PopFront()
 		if t.OnComplete != nil {
 			t.OnComplete()
+		}
+		if t.irq != nil {
+			t.irq(v)
+		}
+		if t.eoi {
+			v.completeIRQ()
 		}
 	}
 }
@@ -437,19 +459,48 @@ func (v *VCPU) startBackgroundExits() {
 	if k.UsePI {
 		period *= 2 // APICv removes interrupt-window/TPR background exits
 	}
-	var arm func()
-	arm = func() {
-		d := k.rng.ExpDuration(period)
-		if d < sim.Microsecond {
-			d = sim.Microsecond
-		}
-		k.Eng.After(d, func() {
-			if v.InGuestMode() {
-				v.BeginExit(ExitOther, nil)
-				v.poke()
-			}
-			arm()
-		})
+	v.otherExitPeriod = period
+	v.otherExitFn = v.otherExit
+	v.armOtherExit()
+}
+
+// armOtherExit draws the next background exit's arrival.
+func (v *VCPU) armOtherExit() {
+	k := v.VM.K
+	d := k.rng.ExpDuration(v.otherExitPeriod)
+	if d < sim.Microsecond {
+		d = sim.Microsecond
 	}
-	arm()
+	k.Eng.After(d, v.otherExitFn)
+}
+
+// otherExit is one background exit arrival: it takes effect only while
+// the vCPU runs guest code, and re-arms either way.
+func (v *VCPU) otherExit() {
+	if v.InGuestMode() {
+		v.BeginExit(ExitOther, nil)
+		v.poke()
+	}
+	v.armOtherExit()
+}
+
+// kickLanded is the kick IPI of emulated injection arriving. The kick
+// only causes an exit if the vCPU is still in guest mode when the IPI
+// lands; it may have exited for another reason meanwhile (then
+// injection piggybacks on that exit's VM entry, costing nothing extra).
+func (v *VCPU) kickLanded() {
+	if v.InGuestMode() {
+		v.BeginExit(ExitExternalInterrupt, nil)
+		v.poke()
+	}
+}
+
+// piNotified is the posted-interrupt notification IPI arriving: in
+// guest mode it triggers the hardware PIR sync. Otherwise the posted
+// bits stay in the PIR and are synchronized at the next VM entry.
+func (v *VCPU) piNotified() {
+	if v.InGuestMode() {
+		v.syncPIR()
+		v.poke()
+	}
 }

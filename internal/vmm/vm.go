@@ -11,8 +11,10 @@ import (
 
 // IRQHandler is a guest interrupt handler registered in the IDT: it
 // returns the CPU cost of the handler body and a completion callback
-// that runs in guest context just before the EOI.
-type IRQHandler func(v *VCPU) (cost sim.Time, fn func())
+// that runs in guest context on the handling vCPU just before the EOI.
+// The callback receives that vCPU, so a handler can return the same
+// bound effect for every interrupt.
+type IRQHandler func(v *VCPU) (cost sim.Time, fn func(*VCPU))
 
 // VectorClass categorizes guest vectors for redirection validity: only
 // device interrupts may be redirected; per-vCPU vectors (timer,
@@ -103,7 +105,7 @@ func (vm *VM) IsDeviceVector(vec apic.Vector) bool {
 // miscellaneous-exit background. Call once after guest setup.
 func (vm *VM) Start() {
 	if _, ok := vm.idt[TimerVector]; !ok {
-		vm.RegisterIDT(TimerVector, ClassLocal, func(*VCPU) (sim.Time, func()) {
+		vm.RegisterIDT(TimerVector, ClassLocal, func(*VCPU) (sim.Time, func(*VCPU)) {
 			return 1200 * sim.Nanosecond, nil
 		})
 	}
@@ -139,7 +141,7 @@ func (vm *VM) noteAccepted(v *VCPU, vec apic.Vector) {
 		vm.K.Path.CloseSignal(vm.Index, uint8(vec), vm.K.Eng.Now())
 	}
 	if tl := vm.K.Timeline; tl.Active() {
-		tl.Instant(v.track, fmt.Sprintf("irq%#x", vec), vm.K.Eng.Now())
+		tl.Instant(v.track, irqNames[vec], vm.K.Eng.Now())
 	}
 }
 

@@ -21,7 +21,16 @@ func NetperfSendTCP(kern *guest.Kernel, v *vmm.VCPU, pe *Peer, flowID, msgBytes,
 	dev := kern.Dev
 	prep := kern.Costs.TXCost(msgBytes, true)
 	var pending *netsim.Packet
-	var loop func()
+	var loop, send func()
+	send = func() {
+		seg := f.NextSegment()
+		if !dev.Transmit(v, seg) {
+			pending = seg
+			dev.WaitTX(loop)
+			return
+		}
+		loop()
+	}
 	loop = func() {
 		if pending != nil {
 			if !dev.Transmit(v, pending) {
@@ -38,15 +47,7 @@ func NetperfSendTCP(kern *guest.Kernel, v *vmm.VCPU, pe *Peer, flowID, msgBytes,
 			dev.WaitTX(loop)
 			return
 		}
-		v.EnqueueTask(vmm.NewTask("netperf-tcp-tx", vmm.PrioTask, kern.JitterCost(prep), func() {
-			seg := f.NextSegment()
-			if !dev.Transmit(v, seg) {
-				pending = seg
-				dev.WaitTX(loop)
-				return
-			}
-			loop()
-		}))
+		v.EnqueueTask(vmm.NewTask("netperf-tcp-tx", vmm.PrioTask, kern.JitterCost(prep), send))
 	}
 	loop()
 	return f, sink
@@ -62,12 +63,13 @@ func NetperfSendUDP(kern *guest.Kernel, v *vmm.VCPU, pe *Peer, flowID, msgBytes 
 
 	dev := kern.Dev
 	prep := kern.Costs.TXCost(msgBytes, false)
-	var loop func()
+	var loop, send func()
+	send = func() {
+		dev.TransmitOrDrop(v, f.NextPacket())
+		loop()
+	}
 	loop = func() {
-		v.EnqueueTask(vmm.NewTask("netperf-udp-tx", vmm.PrioTask, kern.JitterCost(prep), func() {
-			dev.TransmitOrDrop(v, f.NextPacket())
-			loop()
-		}))
+		v.EnqueueTask(vmm.NewTask("netperf-udp-tx", vmm.PrioTask, kern.JitterCost(prep), send))
 	}
 	loop()
 	return f, sink
@@ -86,11 +88,10 @@ func NetperfSendUDPPaced(kern *guest.Kernel, v *vmm.VCPU, pe *Peer, flowID, msgB
 	prep := kern.Costs.TXCost(msgBytes, false)
 	interval := sim.Time(1e9 / pps)
 	eng := kern.Engine()
+	send := func() { dev.TransmitOrDrop(v, f.NextPacket()) }
 	var tick func()
 	tick = func() {
-		v.EnqueueTask(vmm.NewTask("netperf-udp-paced", vmm.PrioTask, kern.JitterCost(prep), func() {
-			dev.TransmitOrDrop(v, f.NextPacket())
-		}))
+		v.EnqueueTask(vmm.NewTask("netperf-udp-paced", vmm.PrioTask, kern.JitterCost(prep), send))
 		eng.After(interval, tick)
 	}
 	eng.After(interval, tick)

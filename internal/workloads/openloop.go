@@ -124,6 +124,21 @@ type OpenLoopStream struct {
 	outstanding int
 	seq         int64
 	pending     map[int64]*openReq
+
+	// legs holds the sub-requests whose TX tasks wait on v, oldest
+	// first (the tasks run FIFO). nextFn, arrivalFn and transmitFn are
+	// the arrival-timer and task continuations, bound once.
+	legs       sim.Ring[openLeg]
+	nextFn     func()
+	arrivalFn  func()
+	transmitFn func()
+}
+
+// openLeg is one fan-out sub-request waiting for its TX task.
+type openLeg struct {
+	flow  int
+	id    int64
+	chain *causal.Chain
 }
 
 // AddStream registers one open-loop stream, pinned to the vCPU its
@@ -137,11 +152,20 @@ func (c *OpenLoopClient) AddStream(cfg StreamConfig) *OpenLoopStream {
 		maxOutstanding: cfg.MaxOutstanding,
 		pending:        make(map[int64]*openReq),
 	}
+	s.nextFn = s.scheduleNext
+	s.arrivalFn = func() {
+		s.arrive()
+		s.scheduleNext()
+	}
+	s.transmitFn = func() {
+		l := s.legs.PopFront()
+		s.transmit(l.flow, l.id, l.chain)
+	}
 	for _, fid := range cfg.Flows {
 		c.Kern.RegisterFlow(fid, s)
 	}
 	c.streams = append(c.streams, s)
-	c.Kern.Engine().After(cfg.Start+1, s.scheduleNext)
+	c.Kern.Engine().After(cfg.Start+1, s.nextFn)
 	return s
 }
 
@@ -195,15 +219,12 @@ func (s *OpenLoopStream) scheduleNext() {
 	eng := s.c.Kern.Engine()
 	mult := s.c.RT.Multiplier(eng.Now())
 	if mult <= 0 {
-		eng.After(s.c.RT.DormantTick(), s.scheduleNext)
+		eng.After(s.c.RT.DormantTick(), s.nextFn)
 		return
 	}
 	mean := sim.Time(1e9 / (s.rate * mult))
 	d := s.sampler.Interarrival(mean)
-	eng.After(d, func() {
-		s.arrive()
-		s.scheduleNext()
-	})
+	eng.After(d, s.arrivalFn)
 }
 
 // arrive is one open-loop arrival: count it against the phase in
@@ -241,9 +262,8 @@ func (s *OpenLoopStream) issue(flowID int, id int64) {
 	kern := s.c.Kern
 	chain := s.c.Causal.Start(flowID, id, kern.Engine().Now())
 	cost := kern.JitterCost(kern.Costs.TXCost(s.reqBytes, true))
-	s.v.EnqueueTask(vmm.NewTask("openloop-req", vmm.PrioTask, cost, func() {
-		s.transmit(flowID, id, chain)
-	}))
+	s.legs.PushBack(openLeg{flow: flowID, id: id, chain: chain})
+	s.v.EnqueueTask(vmm.NewTask("openloop-req", vmm.PrioTask, cost, s.transmitFn))
 }
 
 // transmit posts the sub-request, resuming via WaitTX on a full ring.
@@ -355,6 +375,11 @@ type olPeerStream struct {
 	outstanding int
 	seq         int64
 	pending     map[int64]*openReq
+
+	// nextFn and arrivalFn are the arrival-timer continuations, bound
+	// once.
+	nextFn    func()
+	arrivalFn func()
 }
 
 // NewOpenLoopPeer creates the generator on pe with rt's profile.
@@ -382,9 +407,14 @@ func (o *OpenLoopPeer) AddStream(cfg StreamConfig) {
 		maxOutstanding: cfg.MaxOutstanding,
 		pending:        make(map[int64]*openReq),
 	}
+	s.nextFn = s.scheduleNext
+	s.arrivalFn = func() {
+		s.arrive()
+		s.scheduleNext()
+	}
 	o.peer.Register(s.flow, s)
 	o.streams = append(o.streams, s)
-	o.peer.Eng.After(cfg.Start+1, s.scheduleNext)
+	o.peer.Eng.After(cfg.Start+1, s.nextFn)
 }
 
 // Backlog is the number of requests currently in flight.
@@ -429,15 +459,12 @@ func (s *olPeerStream) scheduleNext() {
 	eng := s.o.peer.Eng
 	mult := s.o.RT.Multiplier(eng.Now())
 	if mult <= 0 {
-		eng.After(s.o.RT.DormantTick(), s.scheduleNext)
+		eng.After(s.o.RT.DormantTick(), s.nextFn)
 		return
 	}
 	mean := sim.Time(1e9 / (s.rate * mult))
 	d := s.sampler.Interarrival(mean)
-	eng.After(d, func() {
-		s.arrive()
-		s.scheduleNext()
-	})
+	eng.After(d, s.arrivalFn)
 }
 
 func (s *olPeerStream) arrive() {

@@ -23,6 +23,7 @@ type Pinger struct {
 
 	nextSeq int64
 	sentAt  map[int64]sim.Time
+	tickFn  func() // tick, bound once
 
 	// RTTs is the time series of round-trip times, in milliseconds
 	// (one point per reply, timestamped at the reply's arrival).
@@ -44,6 +45,7 @@ func StartPing(kern *guest.Kernel, pe *Peer, flowID int, interval sim.Time) *Pin
 		sentAt: make(map[int64]sim.Time),
 		Hist:   metrics.NewLogHistogram(),
 	}
+	p.tickFn = p.tick
 	pe.Register(flowID, p)
 	p.tick()
 	return p
@@ -60,7 +62,7 @@ func (p *Pinger) tick() {
 	pkt := &netsim.Packet{Bytes: p.bytes, Kind: guest.KindEcho, Flow: p.flowID, Seq: seq}
 	pkt.Chain = p.Causal.Start(p.flowID, seq, p.peer.Eng.Now())
 	p.peer.Port.Send(pkt)
-	p.peer.Eng.After(p.interval, func() { p.tick() })
+	p.peer.Eng.After(p.interval, p.tickFn)
 }
 
 // Stop halts probing.

@@ -96,8 +96,17 @@ type RPCFlow struct {
 	// "stale" forever — retry-storm congestion collapse).
 	attemptBase int64
 	deadline    sim.Handle
+	deadlineID  int64 // the attempt the live deadline belongs to
 	attempts    int
 	backoff     sim.Time
+
+	// queued counts this flow's request tasks waiting on v. They run
+	// FIFO, so only the newest belongs to the current attempt.
+	// taskDoneFn and expiredFn are the task and deadline continuations,
+	// bound once.
+	queued     int
+	taskDoneFn func()
+	expiredFn  func()
 
 	// Completed counts this flow's finished requests; LatSum and
 	// LatMax summarize its latency over the measurement window.
@@ -130,6 +139,8 @@ func (c *RPCClient) AddFlow(id, reqBytes, respBytes int, start sim.Time) *RPCFlo
 		c: c, ID: id, v: vcpus[id%len(vcpus)],
 		reqBytes: reqBytes, respBytes: respBytes,
 	}
+	f.taskDoneFn = f.taskDone
+	f.expiredFn = func() { f.expired(f.deadlineID) }
 	c.Kern.RegisterFlow(id, f)
 	c.flows = append(c.flows, f)
 	eng := c.Kern.Engine()
@@ -176,12 +187,22 @@ func (f *RPCFlow) sendNext() {
 func (f *RPCFlow) issue() {
 	kern := f.c.Kern
 	f.reqID++
-	id := f.reqID
-	f.chain = f.c.Causal.Start(f.ID, id, kern.Engine().Now())
+	f.chain = f.c.Causal.Start(f.ID, f.reqID, kern.Engine().Now())
 	cost := kern.JitterCost(kern.Costs.TXCost(f.reqBytes, true))
-	f.v.EnqueueTask(vmm.NewTask("rpc-req", vmm.PrioTask, cost, func() {
-		f.transmit(id)
-	}))
+	f.queued++
+	f.v.EnqueueTask(vmm.NewTask("rpc-req", vmm.PrioTask, cost, f.taskDoneFn))
+}
+
+// taskDone runs when a request task completes. The flow's tasks run
+// FIFO on its vCPU, so a task with newer ones still queued belongs to
+// a superseded attempt and is dropped; the newest transmits the
+// current attempt.
+func (f *RPCFlow) taskDone() {
+	f.queued--
+	if f.queued > 0 {
+		return
+	}
+	f.transmit(f.reqID)
 }
 
 // expired fires when attempt id's deadline lapses without a response:
@@ -247,7 +268,11 @@ func (f *RPCFlow) transmit(id int64) {
 	}
 	f.c.Sent++
 	if f.c.Timeout > 0 {
-		f.deadline = f.c.Kern.Engine().After(f.c.Timeout, func() { f.expired(id) })
+		// A flow has at most one live deadline: an attempt is only
+		// superseded after its deadline fired or its response
+		// cancelled it.
+		f.deadlineID = id
+		f.deadline = f.c.Kern.Engine().After(f.c.Timeout, f.expiredFn)
 	}
 }
 

@@ -85,7 +85,9 @@ func StartServer(kern *guest.Kernel, cfg ServerConfig) *Server {
 	}
 	s := &Server{Kern: kern, Cfg: cfg, pending: make(map[int]bool)}
 	for _, v := range kern.VM.VCPUs {
-		s.workers = append(s.workers, &worker{srv: s, v: v})
+		w := &worker{srv: s, v: v}
+		w.serveFn = w.serve
+		s.workers = append(s.workers, w)
 	}
 	kern.SetDefaultHandler(s)
 	return s
@@ -134,7 +136,7 @@ func (s *Server) HandleRX(p *netsim.Packet, v *vmm.VCPU) {
 func (s *Server) QueuedRequests() int {
 	n := 0
 	for _, w := range s.workers {
-		n += len(w.q)
+		n += w.q.Len()
 		if w.busy {
 			n++
 		}
@@ -146,12 +148,19 @@ func (s *Server) QueuedRequests() int {
 type worker struct {
 	srv  *Server
 	v    *vmm.VCPU
-	q    []*netsim.Packet
+	q    sim.Ring[*netsim.Packet]
 	busy bool
+
+	// The request in service (while busy): its packet, payload and
+	// response segment count. serveFn, bound once, answers it.
+	cur     *netsim.Packet
+	curReq  *Req
+	curSegs int
+	serveFn func()
 }
 
 func (w *worker) enqueue(p *netsim.Packet) {
-	w.q = append(w.q, p)
+	w.q.PushBack(p)
 	if !w.busy {
 		w.busy = true
 		w.next()
@@ -159,14 +168,11 @@ func (w *worker) enqueue(p *netsim.Packet) {
 }
 
 func (w *worker) next() {
-	if len(w.q) == 0 {
+	if w.q.Len() == 0 {
 		w.busy = false
 		return
 	}
-	p := w.q[0]
-	copy(w.q, w.q[1:])
-	w.q[len(w.q)-1] = nil
-	w.q = w.q[:len(w.q)-1]
+	p := w.q.PopFront()
 
 	// The worker accepting the request frees the connection's backlog
 	// slot (accept(2) semantics).
@@ -197,9 +203,15 @@ func (w *worker) next() {
 		cost += w.srv.Kern.Costs.TXCost(n, true)
 		rem -= n
 	}
-	w.v.EnqueueTask(vmm.NewTask("serve", vmm.PrioTask, cost, func() {
-		w.sendResponse(p.Flow, p.Chain, req, segs, 0)
-	}))
+	w.cur, w.curReq, w.curSegs = p, req, segs
+	w.v.EnqueueTask(vmm.NewTask("serve", vmm.PrioTask, cost, w.serveFn))
+}
+
+// serve runs when the service task completes: send the response.
+func (w *worker) serve() {
+	p, req := w.cur, w.curReq
+	w.cur, w.curReq = nil, nil
+	w.sendResponse(p.Flow, p.Chain, req, w.curSegs, 0)
 }
 
 // sendResponse transmits the response segments, resuming via WaitTX on

@@ -21,10 +21,17 @@ type Peer struct {
 	// Port sends toward the guest host.
 	Port *netsim.Port
 	// Delay is the peer's per-action processing latency (stack +
-	// application on an unloaded machine).
+	// application on an unloaded machine). It is fixed for the run:
+	// delayed sends leave in FIFO order (see Send).
 	Delay sim.Time
 
 	flows map[int]PeerFlow
+
+	// outbox holds the packets waiting out the processing delay,
+	// oldest first, and sendFn (bound once) sends the oldest. The delay
+	// is fixed, so they leave in the order they were handed to Send.
+	outbox sim.Ring[*netsim.Packet]
+	sendFn func()
 
 	// RetransmitRTO, when positive, enables go-back-N loss recovery in
 	// peer-side TCP senders created afterwards (see TCPSource). Zero
@@ -45,7 +52,9 @@ type PeerFlow interface {
 // NewPeer creates the external endpoint. Attach it to the link's far
 // side and set Port to the direction toward the host under test.
 func NewPeer(eng *sim.Engine, port *netsim.Port, delay sim.Time) *Peer {
-	return &Peer{Eng: eng, Port: port, Delay: delay, flows: make(map[int]PeerFlow)}
+	pe := &Peer{Eng: eng, Port: port, Delay: delay, flows: make(map[int]PeerFlow)}
+	pe.sendFn = pe.sendOldest
+	return pe
 }
 
 // Register binds a flow id to its peer-side engine.
@@ -63,8 +72,12 @@ func (pe *Peer) Receive(p *netsim.Packet) {
 // Send transmits a packet toward the guest after the peer's processing
 // delay.
 func (pe *Peer) Send(p *netsim.Packet) {
-	pe.Eng.After(pe.Delay, func() { pe.Port.Send(p) })
+	pe.outbox.PushBack(p)
+	pe.Eng.After(pe.Delay, pe.sendFn)
 }
+
+// sendOldest puts the oldest delayed packet on the wire.
+func (pe *Peer) sendOldest() { pe.Port.Send(pe.outbox.PopFront()) }
 
 // FlowIDs hands out unique flow identifiers within a scenario.
 type FlowIDs struct{ next int }
