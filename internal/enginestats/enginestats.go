@@ -6,13 +6,14 @@
 // calendar queues, parallel execution) is judged against.
 //
 // A Collector attaches to one sim.Engine. The engine feeds it two
-// streams: a per-event hook (RunEvent) that tracks the
+// streams: a per-event hook (NoteEvent, inlined) that tracks the
 // events-per-sim-tick distribution and — for a deterministic 1-in-N
-// sample of events — times the callback with time.Now and charges the
-// elapsed wall time and allocated bytes to the subsystem (Go package)
-// that scheduled the event. At the default interval (1 in 1024) the
-// overhead is a few percent of wall time (3.5–8% on TCP send, median of
-// paired on/off runs in TestEngineStatsOverhead); the sampling decision
+// sample of events — RunSampled, which times the callback with
+// time.Now and charges the elapsed wall time and allocated bytes to
+// the subsystem (Go package) that scheduled the event. At the default
+// interval (1 in 1024) the overhead is a few percent of wall time
+// (2.5–7% on TCP send, median of paired on/off runs in
+// TestEngineStatsOverhead); the sampling decision
 // is a plain counter, so enabling stats never perturbs the simulation —
 // simulated results are byte-identical with and without it.
 //
@@ -151,8 +152,7 @@ type Collector struct {
 	sites    map[uintptr]int32 // call-site PC → label id (0 = sim-internal)
 	subs     []subsystem       // indexed by label id
 
-	lastTick   int64
-	haveTick   bool
+	lastTick   int64 // tick of the current same-instant run; -1 before the first event
 	tickRunLen uint64
 	ticks      uint64
 	tickDist   [17]uint64 // bucket i: run length in [2^(i-1)+1, 2^i]; bucket 0: 1
@@ -178,6 +178,7 @@ func New(sampleN int) *Collector {
 		labelIDs: make(map[string]int32),
 		sites:    make(map[uintptr]int32),
 		subs:     make([]subsystem, 1),
+		lastTick: -1,
 	}
 	c.allocSample[0].Name = heapAllocsMetric
 	return c
@@ -278,18 +279,36 @@ func (c *Collector) intern(label string) int32 {
 
 // RunEvent executes one event callback on the collector's watch:
 // the tick-run accounting always happens; sampled events (label != 0)
-// are additionally timed and charged.
+// are additionally timed and charged. The engine calls its two halves,
+// NoteEvent and RunSampled, directly, so that the unsampled majority
+// pays only the inlined NoteEvent.
 func (c *Collector) RunEvent(tick int64, label int32, fn func()) {
-	if !c.haveTick || tick != c.lastTick {
-		c.flushTick()
-		c.lastTick = tick
-		c.haveTick = true
-	}
-	c.tickRunLen++
+	c.NoteEvent(tick)
 	if label == 0 {
 		fn()
 		return
 	}
+	c.RunSampled(label, fn)
+}
+
+// NoteEvent counts one event fired at tick into the events-per-tick
+// distribution. It is small enough to inline into the engine's loop.
+func (c *Collector) NoteEvent(tick int64) {
+	if tick != c.lastTick {
+		c.newTick(tick)
+	}
+	c.tickRunLen++
+}
+
+// newTick closes the previous same-instant run and opens one at tick.
+func (c *Collector) newTick(tick int64) {
+	c.flushTick()
+	c.lastTick = tick
+}
+
+// RunSampled runs a sampled event's callback (label != 0) timed, and
+// charges its wall time and allocated bytes to the label.
+func (c *Collector) RunSampled(label int32, fn func()) {
 	a0 := c.readAllocBytes()
 	t0 := time.Now()
 	fn()

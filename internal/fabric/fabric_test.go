@@ -214,3 +214,103 @@ func TestResetStats(t *testing.T) {
 		t.Fatal("ResetStats left counters non-zero")
 	}
 }
+
+// TestEgressDeliversFIFOAcrossRingWrapAndGrowth feeds one egress port
+// from two ingress ports in bursts that wrap its in-flight ring and
+// grow it while wrapped, with one duplicated frame: frames arrive in
+// routing order, each no earlier than the one before, and the
+// duplicate arrives at its original's instant, just before it, as a
+// distinct copy that does not hold an egress slot of its own.
+func TestEgressDeliversFIFOAcrossRingWrapAndGrowth(t *testing.T) {
+	eng, sw, sinks := newTestSwitch(t, DefaultParams(), 3)
+	dupSeq := int64(11)
+	var routed []*netsim.Packet
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			in := sw.Port(i % 2)
+			p := &netsim.Packet{Bytes: 1500, Flow: 2, Seq: int64(len(routed))}
+			in.SendFault = func() netsim.FaultAction {
+				if p.Seq == dupSeq {
+					return netsim.FaultDup
+				}
+				return netsim.FaultNone
+			}
+			in.Send(p)
+			routed = append(routed, p)
+		}
+	}
+	send(6)
+	eng.Run(eng.Now() + DefaultParams().Delay + 2*sim.Microsecond) // deliver a few: the head moves
+	send(24)                                                       // wraps, then grows while wrapped
+	eng.RunAll()
+
+	got, at := sinks[2].pkts, sinks[2].at
+	if len(got) != len(routed)+1 {
+		t.Fatalf("delivered %d frames, want %d (one duplicate)", len(got), len(routed)+1)
+	}
+	k := 0
+	for _, p := range routed {
+		if p.Seq == dupSeq {
+			if got[k] == p || got[k].Seq != dupSeq || at[k] != at[k+1] {
+				t.Fatalf("duplicate of seq %d not delivered as a copy at its original's instant", dupSeq)
+			}
+			k++
+		}
+		if got[k] != p {
+			t.Fatalf("delivery %d is seq %d, want seq %d", k, got[k].Seq, p.Seq)
+		}
+		if k > 0 && at[k] < at[k-1] {
+			t.Fatalf("delivery %d at %v precedes delivery %d at %v", k, at[k], k-1, at[k-1])
+		}
+		k++
+	}
+	if q := sw.Port(2).EgressQueued(); q != 0 {
+		t.Fatalf("EgressQueued = %d after draining, want 0", q)
+	}
+}
+
+// TestSendDoesNotAllocate: a warm switch forwards a frame, and drops
+// one whose egress link goes down in flight, without allocating; a
+// duplicated frame allocates only its copy.
+func TestSendDoesNotAllocate(t *testing.T) {
+	eng := sim.NewEngine(1)
+	sw := New(eng, DefaultParams())
+	delivered := 0
+	count := netsim.EndpointFunc(func(*netsim.Packet) { delivered++ })
+	in, out := sw.AddPort("h0", count), sw.AddPort("h1", count)
+	sw.SetRouter(crossbar(2))
+	action := netsim.FaultNone
+	in.SendFault = func() netsim.FaultAction { return action }
+	pkt := &netsim.Packet{Bytes: 1500, Flow: 1}
+	forward := func() {
+		in.Send(pkt)
+		eng.RunAll()
+	}
+	downInFlight := func() {
+		in.Send(pkt)
+		out.SetLinkDown(eng.Now() + sim.Second) // delivery falls inside the outage
+		eng.RunAll()
+		out.downUntil = 0 // up again for the next run
+	}
+	action = netsim.FaultDup
+	forward() // warm
+	action = netsim.FaultNone
+	if allocs := testing.AllocsPerRun(100, forward); allocs != 0 {
+		t.Errorf("Send→delivery: %.1f allocs per frame, want 0", allocs)
+	}
+	before := delivered
+	if allocs := testing.AllocsPerRun(100, downInFlight); allocs != 0 {
+		t.Errorf("link down in flight: %.1f allocs per frame, want 0", allocs)
+	}
+	if delivered != before || out.LinkDrops != 101 {
+		t.Fatalf("link down in flight: %d delivered, %d link drops; want 0 and 101",
+			delivered-before, out.LinkDrops)
+	}
+	action = netsim.FaultDup
+	if allocs := testing.AllocsPerRun(100, forward); allocs != 1 {
+		t.Errorf("duplicated Send→delivery: %.1f allocs per frame, want 1 (the copy)", allocs)
+	}
+	if q := out.EgressQueued(); q != 0 {
+		t.Fatalf("EgressQueued = %d after draining, want 0", q)
+	}
+}

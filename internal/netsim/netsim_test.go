@@ -142,3 +142,88 @@ func TestPacketFieldsPreserved(t *testing.T) {
 		t.Fatalf("packet mangled: %+v", got)
 	}
 }
+
+// TestPortDeliversFIFOAcrossRingWrapAndGrowth sends bursts that make
+// the port's in-flight ring wrap and then grow while wrapped, with a
+// duplicated frame in the middle: frames arrive in send order, each no
+// earlier than the one before, and the duplicate arrives at the same
+// instant just before its original, as a distinct copy.
+func TestPortDeliversFIFOAcrossRingWrapAndGrowth(t *testing.T) {
+	eng := sim.NewEngine(1)
+	l := NewLink(eng, 40, sim.Microsecond)
+	var got []*Packet
+	var at []sim.Time
+	l.Attach(EndpointFunc(func(*Packet) {}), EndpointFunc(func(p *Packet) {
+		got = append(got, p)
+		at = append(at, eng.Now())
+	}))
+	port := l.PortA()
+	port.SendFault = func() FaultAction { return FaultNone }
+	var sent []*Packet
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			p := &Packet{Bytes: 1500, Seq: int64(len(sent))}
+			if p.Seq == 9 {
+				port.SendFault = func() FaultAction { return FaultDup }
+			}
+			port.Send(p)
+			port.SendFault = func() FaultAction { return FaultNone }
+			sent = append(sent, p)
+		}
+	}
+	send(6)
+	eng.Run(eng.Now() + 300*sim.Nanosecond + sim.Microsecond + 3*300*sim.Nanosecond) // deliver a few: the head moves
+	send(20)                                                                         // wraps, then grows while wrapped
+	eng.RunAll()
+
+	if len(got) != len(sent)+1 {
+		t.Fatalf("delivered %d frames, want %d (one duplicate)", len(got), len(sent)+1)
+	}
+	k := 0
+	for i, p := range sent {
+		if p.Seq == 9 {
+			dup := got[k]
+			if dup == p || dup.Seq != 9 || at[k] != at[k+1] {
+				t.Fatalf("frame %d: duplicate not delivered as a copy at its original's instant", i)
+			}
+			k++
+		}
+		if got[k] != p {
+			t.Fatalf("delivery %d is seq %d, want seq %d", k, got[k].Seq, p.Seq)
+		}
+		if k > 0 && at[k] < at[k-1] {
+			t.Fatalf("delivery %d at %v precedes delivery %d at %v", k, at[k], k-1, at[k-1])
+		}
+		k++
+	}
+}
+
+// TestPortSendDoesNotAllocate: a warm port delivers a frame without
+// allocating; a duplicated frame allocates only its copy.
+func TestPortSendDoesNotAllocate(t *testing.T) {
+	eng := sim.NewEngine(1)
+	l := NewLink(eng, 40, sim.Microsecond)
+	n := 0
+	l.Attach(EndpointFunc(func(*Packet) {}), EndpointFunc(func(*Packet) { n++ }))
+	port := l.PortA()
+	action := FaultNone
+	port.SendFault = func() FaultAction { return action }
+	pkt := &Packet{Bytes: 1500}
+	run := func() {
+		port.Send(pkt)
+		eng.RunAll()
+	}
+	action = FaultDup
+	run() // warm
+	action = FaultNone
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Errorf("Send→delivery: %.1f allocs per frame, want 0", allocs)
+	}
+	action = FaultDup
+	if allocs := testing.AllocsPerRun(100, run); allocs != 1 {
+		t.Errorf("duplicated Send→delivery: %.1f allocs per frame, want 1 (the copy)", allocs)
+	}
+	if n != 2+101+2*101 {
+		t.Fatalf("delivered %d frames", n)
+	}
+}

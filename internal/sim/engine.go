@@ -264,11 +264,14 @@ func (e *Engine) Step() bool {
 	s := e.slots[x.slot]
 	e.release(x.slot)
 	e.fired++
-	if e.stats != nil {
-		e.stats.RunEvent(int64(x.t), s.perfLabel, s.fn)
-	} else {
-		s.fn()
+	if st := e.stats; st != nil {
+		st.NoteEvent(int64(x.t))
+		if s.perfLabel != 0 {
+			st.RunSampled(s.perfLabel, s.fn)
+			return true
+		}
 	}
+	s.fn()
 	return true
 }
 

@@ -328,3 +328,51 @@ func TestRePollRecoversLostKick(t *testing.T) {
 		t.Fatal("RePolls counter not incremented")
 	}
 }
+
+// TestWarmRoundTripDoesNotAllocate: once warm, a guest TX descriptor
+// (kick → handler turn → wire → used ring) and a wire RX packet
+// (backlog → guest buffer → interrupt) go round trip without
+// allocating: the handlers hold the in-flight descriptor or packet and
+// return effects bound once.
+func TestWarmRoundTripDoesNotAllocate(t *testing.T) {
+	eng := sim.NewEngine(1)
+	s := sched.New(eng, 1, sched.DefaultParams())
+	link := netsim.NewLink(eng, 40, sim.Microsecond)
+	wire := 0
+	link.Attach(netsim.EndpointFunc(func(*netsim.Packet) {}), netsim.EndpointFunc(func(*netsim.Packet) { wire++ }))
+	txq, rxq := virtio.New("tx", 256), virtio.New("rx", 256)
+	for i := 0; i < 256; i++ {
+		rxq.Add(virtio.Desc{})
+	}
+	irqs := 0
+	rxq.OnInterrupt(func() { irqs++ })
+	dev, err := NewDevice("dev", NewIOThread("io", s, 0, DefaultParams()), txq, rxq, link.PortA(), false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt := &netsim.Packet{Bytes: 1000}
+	tx := func() {
+		txq.Add(virtio.Desc{Len: pkt.Bytes, Payload: pkt})
+		txq.Kick()
+		eng.RunAll()
+		txq.CollectUsed(0)
+	}
+	rx := func() {
+		dev.Receive(pkt)
+		eng.RunAll()
+		for range rxq.CollectUsed(0) {
+			rxq.Add(virtio.Desc{})
+		}
+	}
+	tx()
+	rx()
+	if allocs := testing.AllocsPerRun(100, tx); allocs != 0 {
+		t.Errorf("TX round trip: %.1f allocs per descriptor, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, rx); allocs != 0 {
+		t.Errorf("RX round trip: %.1f allocs per packet, want 0", allocs)
+	}
+	if wire != 102 || dev.RxPkts != 102 || irqs != 102 {
+		t.Fatalf("round trips incomplete: wire %d, rx %d, interrupts %d; want 102 each", wire, dev.RxPkts, irqs)
+	}
+}
