@@ -108,6 +108,10 @@ type Chain struct {
 	marks []Mark
 	done  bool
 
+	// markBuf backs marks for the common chain, so a chain is one
+	// allocation; a longer one (retransmissions) moves to the heap.
+	markBuf [chainMarks]Mark
+
 	// kickExit records whether the most recent TX doorbell took an
 	// I/O-instruction exit, deciding StageNotifyExit vs
 	// StageNotifyPoll at the matching vhost dequeue.
@@ -116,6 +120,11 @@ type Chain struct {
 	// part of StageWire).
 	hops uint32
 }
+
+// chainMarks is the mark capacity a chain carries inline: a request
+// and its response each cross the stage path once, about ten marks
+// per direction.
+const chainMarks = 20
 
 // Mark stamps stage on host at t, clamped so mark times never run
 // backwards (duplicate deliveries and coalesced interrupts may replay
@@ -228,7 +237,9 @@ func (p *Probe) Start(flow int, seq int64, now sim.Time) *Chain {
 		return nil
 	}
 	p.t.started++
-	return &Chain{flow: flow, seq: seq, start: now}
+	c := &Chain{flow: flow, seq: seq, start: now}
+	c.marks = c.markBuf[:0]
+	return c
 }
 
 // Complete closes a chain at the workload's completion instant,
